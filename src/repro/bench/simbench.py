@@ -23,17 +23,19 @@ measured once:
   constant fallback (and double-checks the disrupted paths agree).
 * **diurnal** — a multi-day diurnal arrival trace on a single-stage
   serving pipeline at low offered load: long closed windows where the
-  batch engine's vectorized steady-state fast-forward macro-steps whole
-  decode rounds. This is the batch engine's headline scenario — the
-  ``large`` tier serves 100,000 requests spanning simulated months, and
-  the target is >=1M simulated tokens per wall-second
-  (``sim_diurnal_large_batch_tokens_per_s``). Only the hop-table and
-  batch engines run it; the frozen baseline would take hours.
+  vectorized steady-state fast-forward macro-steps whole decode rounds.
+  The ``large`` tier serves 100,000 requests spanning simulated months,
+  and the target is >=1M simulated tokens per wall-second
+  (``sim_diurnal_large_hop_table_tokens_per_s``). The frozen baseline
+  would take hours, so the small tier instead compares against the
+  current engine with ``coalescing=False`` (one heap event per hop:
+  ``sim_diurnal_small_vs_per_hop``).
 
-Each scenario runs on every engine at three trace sizes and records
+Each scenario runs at three trace sizes on the current engine and its
+reference (the frozen baseline; per-hop for diurnal-small) and records
 simulated-tokens-per-wall-second, events popped, engine telemetry
-(grouped hops, fast-forwarded tokens), and peak RSS. Token counts and
-decode throughput are asserted equal between engines on every run — the
+(grouped hops, fast-forwarded tokens), and peak RSS. Token counts are
+asserted equal between engines on every run — the
 full observable-equality guarantee is enforced by
 ``tests/test_sim_equivalence.py`` over the scenario matrix.
 
@@ -85,11 +87,10 @@ _DIURNAL_LOAD = 0.02
 _DIURNAL_OUTPUT_LEN = 512
 
 #: (label, simulation class, extra constructor kwargs).
-_ENGINES = (
-    ("legacy", LegacySimulation, {}),
-    ("hop_table", Simulation, {}),
-    ("batch", Simulation, {"engine": "batch"}),
-)
+_DEFAULT = ("hop_table", Simulation, {})
+#: The per-hop reference: every fast path off, one heap event per hop.
+_PER_HOP = ("per_hop", Simulation, {"coalescing": False})
+_ENGINES = (("legacy", LegacySimulation, {}), _DEFAULT)
 
 
 def _peak_rss_mb() -> float:
@@ -174,9 +175,9 @@ def _serve(
     }
     if "legacy" in rows and "hop_table" in rows:
         metrics[f"{name}_speedup"] = rows["legacy"][0] / rows["hop_table"][0]
-    if "batch" in rows and "hop_table" in rows:
-        metrics[f"{name}_batch_vs_hop"] = (
-            rows["hop_table"][0] / rows["batch"][0]
+    if "per_hop" in rows and "hop_table" in rows:
+        metrics[f"{name}_vs_per_hop"] = (
+            rows["per_hop"][0] / rows["hop_table"][0]
         )
     for key, value in metrics.items():
         tracker.record(key, value)
@@ -261,8 +262,8 @@ def _diurnal_material() -> tuple:
     One A100 holds every layer of a small 8-layer model, so a request's
     decode round is entry transmit -> one batch -> token return. At low
     offered load the simulation is almost entirely closed windows of
-    identical rounds — exactly the steady state the batch engine's
-    vectorized fast-forward macro-steps. The multi-node regimes are
+    identical rounds — exactly the steady state the vectorized
+    fast-forward macro-steps. The multi-node regimes are
     covered by the flooded / poisson / churn scenarios above.
     """
     model = ModelSpec(
@@ -300,13 +301,13 @@ def _diurnal_solo_latency(cluster, model, result, profiler) -> float:
 def bench_sim_diurnal(
     tracker: PerfTracker, size: str = "large", quick: bool = False
 ) -> dict:
-    """The batch engine's headline: a multi-day diurnal arrival trace.
+    """The fast-forward headline: a multi-day diurnal arrival trace.
 
     The arrival rate is calibrated against the measured solo latency so
     the offered load (and therefore the closed-window fraction) is
-    machine-independent. Runs the hop-table and batch engines only: the
-    frozen baseline has no fast-forward at all, so even the small tier
-    would take minutes and the 100k tier hours.
+    machine-independent. The frozen baseline has no fast-forward at all,
+    so even the small tier would take minutes and the 100k tier hours;
+    the small tier is compared against the per-hop reference instead.
     """
     del quick  # no planner: the placement is fixed, every tier is cheap
     num_requests = _DIURNAL_TIERS[size]
@@ -323,7 +324,9 @@ def bench_sim_diurnal(
         tracker, f"sim_diurnal_{size}", cluster, result, profiler, trace,
         expected_output_len=float(_DIURNAL_OUTPUT_LEN),
         max_batch_tokens=None, max_time=1e12,
-        engines=tuple(e for e in _ENGINES if e[0] != "legacy"),
+        # Per-hop steps every token through the heap: minutes already
+        # at the medium tier, so only the small tier carries the ratio.
+        engines=(_DEFAULT, _PER_HOP) if size == "small" else (_DEFAULT,),
         model=model,
     )
     span_days = trace[-1].arrival_time / 86400.0

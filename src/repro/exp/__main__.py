@@ -28,7 +28,7 @@ _HEADLINE_BENCHES = {
     "chaos-sweep": "chaos_sweep",
     "elastic-sweep": "elastic_sweep",
     "tenant-sweep": "tenant_sweep",
-    "batch-sweep": "batch_sweep",
+    "fast-path-soak": "fast_path_soak",
     "policy-compare": "policy_compare",
 }
 

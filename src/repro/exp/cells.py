@@ -54,7 +54,6 @@ def verify_cell(params: dict) -> dict:
         milp_oracles=params.get("milp_oracles", False),
         determinism=params.get("determinism", True),
         flow_differential=params.get("flow_differential", True),
-        engine=params.get("engine", "hop"),
     )
 
 
@@ -90,16 +89,16 @@ def policy_eval_cell(params: dict) -> dict:
     return record
 
 
-def batch_equivalence_cell(params: dict) -> dict:
-    """Hop-table vs. batch engine observable equality on one address."""
-    from repro.testkit import check_batch_engine
+def fast_path_equivalence_cell(params: dict) -> dict:
+    """Default vs. per-hop (``coalescing=False``) equality on one address."""
+    from repro.testkit import check_fast_paths
 
     family = params["family"]
     seed = params["seed"]
     size = params.get("size", "full")
     started = time.perf_counter()
     try:
-        violations = check_batch_engine(family, seed, size)
+        violations = check_fast_paths(family, seed, size)
     except Exception:  # noqa: BLE001
         record = _crash_record(params)
         record["seconds"] = round(time.perf_counter() - started, 3)
@@ -111,8 +110,8 @@ def batch_equivalence_cell(params: dict) -> dict:
         "ok": not violations,
         "repro": (
             "PYTHONPATH=src python -c \"from repro.testkit import "
-            "check_batch_engine; [print(v) for v in "
-            f"check_batch_engine('{family}', {seed}, '{size}')]\""
+            "check_fast_paths; [print(v) for v in "
+            f"check_fast_paths('{family}', {seed}, '{size}')]\""
         ),
         "seconds": round(time.perf_counter() - started, 3),
     }
@@ -340,14 +339,14 @@ def selector_contrast_cell(params: dict) -> dict:
 # Perf cells (the BENCH_* regenerators)
 # ----------------------------------------------------------------------
 def diurnal_perf_cell(params: dict) -> dict:
-    """The diurnal hop-vs-batch timing (the batch sweep's headline case)."""
+    """The diurnal tokens/s timing (the fast-path soak's headline case)."""
     from repro.bench.perftrack import PerfTracker
     from repro.bench.simbench import bench_sim_diurnal
 
     tier = params.get("tier", "large")
     started = time.perf_counter()
     try:
-        tracker = PerfTracker(label=f"batch-sweep-{tier}")
+        tracker = PerfTracker(label=f"fast-path-soak-{tier}")
         derived = bench_sim_diurnal(tracker, tier)
     except Exception:  # noqa: BLE001
         record = _crash_record(params)
@@ -358,11 +357,7 @@ def diurnal_perf_cell(params: dict) -> dict:
     return {
         "ok": True,
         "tier": tier,
-        "batch_tokens_per_s": round(derived[f"{prefix}_batch_tokens_per_s"], 1),
-        "hop_table_tokens_per_s": round(
-            derived[f"{prefix}_hop_table_tokens_per_s"], 1
-        ),
-        "batch_vs_hop": round(derived[f"{prefix}_batch_vs_hop"], 3),
+        "tokens_per_s": round(derived[f"{prefix}_hop_table_tokens_per_s"], 1),
         "span_days": round(derived[f"{prefix}_span_days"], 2),
         "seconds": round(time.perf_counter() - started, 3),
     }
@@ -414,7 +409,7 @@ def perf_suite_cell(params: dict) -> dict:
 CELL_KINDS = {
     "verify": verify_cell,
     "policy_eval": policy_eval_cell,
-    "batch_equivalence": batch_equivalence_cell,
+    "fast_path_equivalence": fast_path_equivalence_cell,
     "spare_recovery": spare_recovery_cell,
     "selector_contrast": selector_contrast_cell,
     "diurnal_perf": diurnal_perf_cell,

@@ -96,25 +96,25 @@ def tenant_sweep(seeds: int = 25, size: str = "full") -> ExperimentSpec:
     )
 
 
-def batch_sweep(
+def fast_path_soak(
     seeds: int = 10,
     size: str = "full",
     diurnal_tier: str = "large",
 ) -> ExperimentSpec:
-    """Batch-engine equivalence soak plus the diurnal perf headline."""
+    """Fast-path-vs-reference equivalence soak plus the diurnal headline."""
     return ExperimentSpec.make(
-        name="batch-sweep",
+        name="fast-path-soak",
         description=(
-            "hop-vs-batch engine equivalence over all families + the "
-            "diurnal tokens/s headline (BENCH_batch.json)"
+            "default vs coalescing=False equivalence over all families + "
+            "the diurnal tokens/s headline"
         ),
-        kind="batch_equivalence",
+        kind="fast_path_equivalence",
         grid={"family": list(ALL_FAMILIES), "seed": list(range(seeds))},
         base={"size": size},
         extra_cells=(
             RunCell.make("diurnal_perf", {"tier": diurnal_tier}),
         ),
-        aggregate="batch_sweep",
+        aggregate="fast_path_soak",
     )
 
 
@@ -183,7 +183,7 @@ EXPERIMENTS = {
     "chaos-sweep": chaos_sweep,
     "elastic-sweep": elastic_sweep,
     "tenant-sweep": tenant_sweep,
-    "batch-sweep": batch_sweep,
+    "fast-path-soak": fast_path_soak,
     "policy-compare": policy_compare,
     "bench-flow": bench_flow,
     "bench-milp": bench_milp,

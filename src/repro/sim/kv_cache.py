@@ -52,7 +52,7 @@ class KVCachePool:
         (``min(tokens, used_after - capacity)`` when positive), and the
         peak is taken once at the end — the running maximum of a
         monotonically growing occupancy is its final value. This is the
-        simulator's batch-engine fast path; it must stay observably
+        simulator's vectorized decode fast path; it must stay observably
         identical to the per-token loop.
         """
         used = self.used_tokens + tokens

@@ -1,4 +1,4 @@
-"""The discrete-event serving simulation (hop-table engine).
+"""The discrete-event serving simulation.
 
 One :class:`Simulation` wires together a cluster, a model placement, a
 scheduler, and a request trace, then plays the serving system forward:
@@ -42,33 +42,30 @@ testing and benchmarking):
   as per-hop stepping, which makes the two modes bit-identical
   (``coalescing=False`` forces per-hop events; the differential suite
   asserts exact equality across the scenario matrix).
-* **Closed-window fast-forward.** When exactly one request is live, the
-  pending queue is empty, and its executors are idle, nothing can happen
-  before the next scheduled heap event except the request's own decode
-  chain: those iterations are computed in one tight loop (one
-  macro-step) with no heap traffic at all, stopping exactly at finish,
-  the ``max_time`` horizon, or the next event's time — where the one
-  in-flight hop is re-materialized into the heap and stepping resumes.
+* **Vectorized cohorts.** The coordinator's token drain advances whole
+  same-channel cohorts per heap event: a run of mid-decode tokens is
+  checked, validated, and committed with array folds
+  (:meth:`Simulation._vec_token_run`) instead of per-token Python work,
+  and groups carry uniform-token-layer metadata so busy-executor cohort
+  enqueues cost O(1).
+* **Closed-window fast-forward.** When a request's executors are
+  quiescent, the pending queue is empty, and every other live request is
+  parked in the heap, nothing can happen before the next scheduled heap
+  event except the request's own decode chain: those iterations are
+  computed without heap traffic — whole rounds vectorized
+  (:meth:`Simulation._vec_fast_forward`), the boundary round in one
+  tight scalar loop — stopping exactly at finish, the ``max_time``
+  horizon, or the next event's time, where the one in-flight hop is
+  re-materialized into the heap and stepping resumes.
 * **Bounded timeline.** The global token timeline accumulates into
   fixed-width buckets (:class:`~repro.sim.metrics.TokenTimeline`) online
   instead of appending one float per token forever.
-* **Batch-level engine** (``engine="batch"``). On top of the hop-table
-  machinery, hot per-request state — tokens generated, output target,
-  entry-channel id, attempt — moves into dense structured numpy arrays
-  keyed by interned dense-int request ids
-  (:class:`~repro.sim.request.RequestInterner`). The coordinator's token
-  drain then advances whole same-channel cohorts per heap event: a run
-  of mid-decode tokens is masked, validated, and committed with array
-  folds (:meth:`Simulation._vec_token_run`) instead of per-token Python
-  work, groups carry uniform-token-layer metadata so busy-executor
-  cohort enqueues cost O(1), and the closed-window fast-forward
-  generalizes from "sole live request" to any request whose executors
-  are provably quiescent while other live requests sit parked in the
-  heap. Every wide path replays the identical float operations in the
-  identical order as the scalar engine, so ``engine="batch"`` is
-  observably bit-identical to ``engine="hop"`` (the differential suite
-  asserts it across the scenario matrix, chaos/elastic/tenant families
-  included).
+
+Every fast path replays the identical float operations in the identical
+order as per-hop stepping, so ``coalescing=False`` — one heap event per
+hop, none of the fast paths above — is the bit-identical reference the
+differential suite compares against (the scenario matrix, chaos /
+elastic / tenant families included).
 
 The loop also supports *online dynamics* (the ``repro.online`` package):
 environment events scheduled with :meth:`Simulation.schedule_event` can
@@ -105,7 +102,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.network_sim import LinkChannel
 from repro.sim.node_exec import NodeExecutor, StageWork
-from repro.sim.request import Request, RequestInterner
+from repro.sim.request import Request
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
 K_ARRIVAL = 0  #: a trace request reaches the coordinator
@@ -158,11 +155,11 @@ class _HopGroup:
         self.seqs: list[int] = []
         self.works: list[StageWork] = []
         self.index = 0
-        # Uniform-token-layer metadata (batch engine): >= 0 asserts every
-        # work in the group is single-token with ``tl == utl``, letting
-        # the busy-executor cohort enqueue compute its slice totals in
-        # O(1). Set by the vectorized producers, invalidated by any
-        # append that cannot prove uniformity; -1 means unknown/mixed.
+        # Uniform-token-layer metadata: >= 0 asserts every work in the
+        # group is single-token with ``tl == utl``, letting the
+        # busy-executor cohort enqueue compute its slice totals in O(1).
+        # Set by the decode producers, invalidated by any append that
+        # cannot prove uniformity; -1 means unknown/mixed.
         self.utl = -1
 
 
@@ -172,7 +169,8 @@ class _ActiveRequest:
     __slots__ = (
         "request", "request_id", "pipeline", "record", "attempt", "live",
         "hops", "entry_channel", "prompt_works", "decode_works", "done",
-        "output_len", "sched_id", "hedge", "is_hedge", "dense", "entry_work",
+        "output_len", "sched_id", "hedge", "is_hedge", "entry_work",
+        "round_floor",
     )
 
     def __init__(self, request, pipeline, record, attempt):
@@ -202,11 +200,12 @@ class _ActiveRequest:
         self.entry_channel: LinkChannel | None = None
         self.prompt_works: list[StageWork] = []
         self.decode_works: list[StageWork] = []
-        # Batch engine: this attempt's row in the dense state arrays (-1
-        # under the hop engine) and its stage-0 decode work (the re-entry
-        # work the coordinator ships every iteration).
-        self.dense = -1
+        # Stage-0 decode work: the re-entry work the coordinator ships
+        # every iteration.
         self.entry_work: StageWork | None = None
+        # Lower bound on one decode round: the sum of its single-token
+        # batch times (links only add to it).
+        self.round_floor = 0.0
 
     def kv_allocated(self, stage_index: int) -> int:
         """KV tokens this attempt has allocated on ``stage_index``.
@@ -223,81 +222,6 @@ class _ActiveRequest:
             return prompt
         q, r = divmod(decode_done, depth)
         return prompt + q + (1 if stage_index < r else 0)
-
-
-#: One row per scheduled attempt in the batch engine's dense state.
-_DENSE_DTYPE = _np.dtype([
-    ("req", _np.int64),      # interned request id
-    ("tg", _np.int64),       # tokens generated (mirrors the record)
-    ("out", _np.int64),      # output-length target
-    ("ent", _np.int64),      # interned entry-channel id
-    ("attempt", _np.int64),  # attempt number of this row
-    ("live", _np.bool_),     # attempt still in flight
-])
-
-
-class _DenseState:
-    """Hot per-attempt request state in one dense structured numpy array.
-
-    The batch-level engine moves the fields its wide token path reads —
-    tokens generated, output target, entry-channel id — out of Python
-    objects into flat arrays keyed by a dense row index, so eligibility
-    masks over a whole token cohort are a few array ops instead of
-    per-token attribute chains. Rows are append-only: every scheduled
-    attempt (retries and hedge shadows included) gets its own row, and
-    the authoritative :class:`~repro.sim.metrics.RequestRecord` stays
-    the source of truth — the dense mirror is only consulted for wide
-    masks and is kept exactly in sync by every token-count mutation.
-    """
-
-    __slots__ = ("arr", "rows", "tg", "out", "ent", "interner", "_channel_ids")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self.arr = _np.zeros(capacity, dtype=_DENSE_DTYPE)
-        self.rows = 0
-        self.interner = RequestInterner()
-        self._channel_ids: dict[LinkChannel, int] = {}
-        self._refresh_views()
-
-    def _refresh_views(self) -> None:
-        arr = self.arr
-        self.tg = arr["tg"]
-        self.out = arr["out"]
-        self.ent = arr["ent"]
-
-    def channel_id(self, channel) -> int:
-        """Dense integer for a channel object (identity-keyed)."""
-        ids = self._channel_ids
-        cid = ids.get(channel)
-        if cid is None:
-            cid = len(ids)
-            ids[channel] = cid
-        return cid
-
-    def add_row(self, request_id, output_len, entry_channel, attempt) -> int:
-        """Register one scheduled attempt; returns its dense row index."""
-        row = self.rows
-        arr = self.arr
-        if row == len(arr):
-            grown = _np.zeros(2 * len(arr), dtype=_DENSE_DTYPE)
-            grown[:row] = arr
-            self.arr = grown
-            self._refresh_views()
-        rec = self.arr[row]
-        rec["req"] = self.interner.intern(request_id)
-        rec["tg"] = 0
-        rec["out"] = output_len
-        rec["ent"] = self.channel_id(entry_channel)
-        rec["attempt"] = attempt
-        rec["live"] = True
-        self.rows = row + 1
-        return row
-
-    def retire(self, row: int) -> None:
-        """Mark an attempt's row dead (finish, cancel, or requeue)."""
-        rec = self.arr[row]
-        rec["live"] = False
-        rec["tg"] = 0
 
 
 @dataclass(frozen=True)
@@ -342,11 +266,11 @@ class Simulation:
         controller: Optional online controller (see
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
-        coalescing: Enable hop-group events and the closed-window decode
-            fast-forward. ``False`` forces one heap event per hop — the
-            bit-identical per-token reference the differential suite
-            compares against. Results are identical either way; only the
-            wall-clock speed differs.
+        coalescing: Enable hop-group events, the vectorized cohort paths,
+            and the closed-window decode fast-forward. ``False`` forces
+            one heap event per hop — the bit-identical per-token
+            reference the differential suite compares against. Results
+            are identical either way; only the wall-clock speed differs.
         timeline_resolution: Bucket width (seconds) of the global token
             timeline; keep it a power of two so windowed goodput over the
             derived view matches the exact timeline (see
@@ -367,12 +291,6 @@ class Simulation:
             lower-priority queued request to admit a higher-priority
             arrival). ``None`` (the default) keeps the single-tenant
             legacy semantics bit-identically.
-        engine: ``"hop"`` (the default) is the per-event hop-table
-            engine; ``"batch"`` adds the cross-request batch level on
-            top — dense per-attempt state arrays, vectorized coordinator
-            token runs, O(1) cohort enqueues, and the generalized
-            closed-window fast-forward. The two engines are observably
-            bit-identical on every trace; only wall-clock speed differs.
     """
 
     def __init__(
@@ -394,15 +312,9 @@ class Simulation:
         debug_validate: bool = False,
         residency=None,
         tenancy=None,
-        engine: str = "hop",
     ) -> None:
         if not requests:
             raise SimulationError("request trace is empty")
-        if engine not in ("hop", "batch"):
-            raise SimulationError(
-                f"unknown engine {engine!r}: choose 'hop' or 'batch'"
-            )
-        self.engine = engine
         self.cluster = cluster
         self.model = model
         self.placement = placement
@@ -518,9 +430,6 @@ class Simulation:
             type(scheduler).notify_node_progress
             is not Scheduler.notify_node_progress
         )
-        # Batch engine: dense per-attempt state (None = hop engine; every
-        # batch-level path keys off this).
-        self._dense = _DenseState() if engine == "batch" else None
         # Engine telemetry (for benchmarks and tests).
         self.events_popped = 0
         self.grouped_hops = 0
@@ -710,12 +619,6 @@ class Simulation:
             request=request, pipeline=pipeline, record=record, attempt=attempt
         )
         self._build_hops(active)
-        dense = self._dense
-        if dense is not None:
-            active.dense = dense.add_row(
-                request.request_id, active.output_len,
-                active.entry_channel, attempt,
-            )
         self._active[request.request_id] = active
         if self._tenancy is not None:
             self._tenancy.note_dispatch(
@@ -776,6 +679,7 @@ class Simulation:
                 + executor.overhead
             )
             hops.append(hop)
+            active.round_floor += hop.decode_time
             prompt_works.append(StageWork(
                 rid, index, input_len, num_layers, True, attempt,
                 tl=input_len * num_layers, owner=active, hop=hop,
@@ -1023,7 +927,6 @@ class Simulation:
         seq = self._seq
         token_bytes = self._token_bytes
         abpt = self._abpt
-        batch_engine = self._dense is not None
         # Run caches: consecutive works almost always share a pool (same
         # stage) and a channel (same next hop); their mutable fields live
         # in locals for the duration of the run and are written back when
@@ -1113,9 +1016,8 @@ class Simulation:
                     if group is None:
                         group = _HopGroup(K_TOKEN if run_final else K_GROUP)
                         scratch[run_channel] = group
-                        if batch_engine:
-                            group.utl = nx[0].tl
-                    elif batch_engine and group.utl != nx[0].tl:
+                        group.utl = nx[0].tl
+                    elif group.utl != nx[0].tl:
                         group.utl = -1
                     group.times.extend(arrivals.tolist())
                     group.seqs.extend(range(seq, seq + k))
@@ -1176,7 +1078,7 @@ class Simulation:
                     if group is None:
                         group = _HopGroup(kind)
                         scratch[ch] = group
-                    elif batch_engine and group.utl >= 0:
+                    elif group.utl >= 0:
                         # Scalar appends may mix phases and widths; the
                         # uniformity claim no longer holds.
                         group.utl = -1
@@ -1252,14 +1154,10 @@ class Simulation:
         tl_counts = timeline._counts
         tl_inv = timeline._inv
         tl_added = 0
-        dense = self._dense
-        batch_engine = dense is not None
         # The wide token path engages only on the clean steady state: no
         # disruption latch (stale-work filtering stays scalar), no
         # per-token tenancy accounting, coalescing on.
-        batch_vec = (
-            batch_engine and coalesce and not disrupted and tenancy is None
-        )
+        batch_vec = coalesce and not disrupted and tenancy is None
         vec_scan = i
         # Earliest re-entry arrival accumulated in scratch but not yet in
         # the heap; the drain must not run past it.
@@ -1329,8 +1227,6 @@ class Simulation:
                         )
                 token_times.append(t)
                 record.tokens_generated += 1
-                if batch_engine:
-                    dense.tg[owner.dense] += 1
                 if tenancy is not None:
                     tenancy.note_token(owner.request.tenant_id, t)
                 self._last_token_time = t
@@ -1356,31 +1252,20 @@ class Simulation:
                     and i == n
                     and not scratch
                     and not self._pending
-                    and (
-                        len(self._active) == 1
-                        and not any(
-                            hop.executor.busy for hop in owner.hops
-                        )
-                        or batch_engine
-                        and len(self._active) > 1
-                        and owner.hedge is None
-                        and not any(
-                            hop.executor.busy or hop.executor.queue
-                            for hop in owner.hops
-                        )
+                    and owner.hedge is None
+                    and not any(
+                        hop.executor.busy or hop.executor.queue
+                        for hop in owner.hops
                     )
                 ):
                     # Closed window: this request decodes over provably
                     # quiescent executors — fast-forward it without the
                     # event loop until it finishes or the next scheduled
                     # event (an arrival, churn, a stale completion) is
-                    # due. The hop engine requires it to be the sole live
-                    # request; the batch engine generalizes to any
-                    # non-interfering request — every other live request
-                    # is parked in the heap (its next transition is a
-                    # scheduled event at or past the window limit), so
-                    # nothing can touch this request's executors or
-                    # channels before the limit either way.
+                    # due. Every other live request is parked in the heap
+                    # (its next transition is a scheduled event at or
+                    # past the window limit), so nothing can touch this
+                    # request's executors or channels before the limit.
                     if len(self._active) > 1:
                         self.group_fast_forwards += 1
                     group.index = n
@@ -1414,12 +1299,8 @@ class Simulation:
                         if subgroup is None:
                             subgroup = _HopGroup(K_GROUP)
                             scratch[channel] = subgroup
-                            if batch_engine:
-                                subgroup.utl = owner.entry_work.tl
-                        elif (
-                            batch_engine
-                            and subgroup.utl != owner.entry_work.tl
-                        ):
+                            subgroup.utl = owner.entry_work.tl
+                        elif subgroup.utl != owner.entry_work.tl:
                             subgroup.utl = -1
                         subgroup.times.append(arrival)
                         subgroup.seqs.append(seq)
@@ -1459,9 +1340,9 @@ class Simulation:
         record bookkeeping, the timeline bucket update, and the re-entry
         transmit on the owner's entry channel. For a run of *mid-decode*
         tokens whose owners share one entry channel, all of that
-        collapses into one gather over the dense state plus a handful of
-        array folds. Eligibility is decided entirely from the dense
-        arrays (``tokens_generated > 0`` excludes first tokens and their
+        collapses into one walk over the owners plus a handful of array
+        folds. Eligibility is decided from the owners' records in that
+        walk (``tokens_generated > 0`` excludes first tokens and their
         hedge/TTFT bookkeeping; ``tokens_generated + 1 < output_len``
         excludes finishing tokens and the heap-top refresh they force);
         a candidate run is then cut at the heap top (exact-time ties go
@@ -1485,28 +1366,41 @@ class Simulation:
 
         Returns ``(advanced, skip, pending_first)``: ``advanced`` tokens
         starting at ``group.index == i`` were fully committed (records,
-        dense state, timeline, channel counters, re-entry works, event
+        timeline, channel counters, re-entry works, event
         sequence numbers); when 0, the caller should run at least
         ``skip`` tokens through the scalar path before re-attempting.
         """
         times = group.times
         works = group.works
-        chunk = len(times) - i
-        if chunk > 1024:
-            chunk = 1024
-        dense = self._dense
-        owners = [work.owner for work in works[i:i + chunk]]
-        idx = _np.fromiter(
-            (owner.dense for owner in owners), _np.int64, count=chunk
-        )
-        tg = dense.tg[idx]
-        ent = dense.ent[idx]
-        mask = (tg > 0) & (tg + 1 < dense.out[idx]) & (ent == ent[0])
-        if not mask[0]:
-            good = _np.flatnonzero(mask)
-            return 0, int(good[0]) if good.size else chunk, pending_first
-        bad = _np.flatnonzero(~mask)
-        k = int(bad[0]) if bad.size else chunk
+        end = len(times)
+        if end - i > 1024:
+            end = i + 1024
+        channel = works[i].owner.entry_channel
+        owners = []
+        append_owner = owners.append
+        for work in works[i:end]:
+            owner = work.owner
+            generated = owner.record.tokens_generated
+            if (
+                not generated
+                or generated + 1 >= owner.output_len
+                or owner.entry_channel is not channel
+            ):
+                break
+            append_owner(owner)
+        k = len(owners)
+        if not k:
+            # Skip ahead to the next token that would be eligible.
+            for j in range(i + 1, end):
+                owner = works[j].owner
+                generated = owner.record.tokens_generated
+                if (
+                    generated
+                    and generated + 1 < owner.output_len
+                    and owner.entry_channel is channel
+                ):
+                    return 0, j - i, pending_first
+            return 0, end - i, pending_first
         t_arr = _np.array(times[i:i + k])
         if t_arr[k - 1] >= top_t:
             k = int(_np.searchsorted(t_arr, top_t, side="left"))
@@ -1519,7 +1413,6 @@ class Simulation:
             if k < _VEC_MIN:
                 return 0, k, pending_first
             t_arr = t_arr[:k]
-        channel = owners[0].entry_channel
         token_bytes = self._token_bytes
         transmission = token_bytes / channel.bandwidth
         nf = channel.next_free_time
@@ -1582,7 +1475,6 @@ class Simulation:
             if top_queueing > channel.max_queueing_delay:
                 channel.max_queueing_delay = top_queueing
         self._timeline.add_many(t_arr)
-        dense.tg[idx[:k]] += 1
         scratch = self._scratch
         sub = scratch.get(channel)
         utl = owners[0].entry_work.tl
@@ -1623,16 +1515,15 @@ class Simulation:
         scratch.clear()
 
     def _fast_forward(self, owner: _ActiveRequest) -> None:
-        """Run the decode of the sole live request inline (macro-step).
+        """Run the decode of one closed-window request inline (macro-step).
 
         Preconditions (checked by the caller): empty pending queue, empty
         scratch, all of the request's executors idle with empty queues,
         current time at its just-emitted token, and every *other* live
-        request (the hop engine allows none; the batch engine any number)
-        parked in the heap — its next transition a scheduled event at or
-        past the window limit. Until the next heap
-        event is due, the system is closed: the only thing that can happen
-        is this request's own iteration chain. The loop performs the
+        request parked in the heap — its next transition a scheduled event
+        at or past the window limit. Until the next heap event is due, the
+        system is closed: the only thing that can happen is this request's
+        own iteration chain. The loop performs the
         identical float operations, in the identical order, as the event
         path would — entry transmit, per-hop batch and forward, token
         delivery — and allocates the identical event sequence numbers, so
@@ -1658,16 +1549,16 @@ class Simulation:
         decode_works = owner.decode_works
         tenancy = self._tenancy
         if (
-            self._dense is not None
-            and tenancy is None
+            tenancy is None
             and not notify
+            and limit - self._now > _VEC_MIN * owner.round_floor
         ):
-            # Batch engine: macro-step whole decode rounds vectorized
-            # (guess-and-verify; bit-exact committed prefix). The scalar
-            # loop below then handles the boundary round.
+            # Macro-step whole decode rounds vectorized (guess-and-verify;
+            # bit-exact committed prefix). The scalar loop below then
+            # handles the boundary round. A window shorter than
+            # ``_VEC_MIN`` round floors cannot fit the minimum commit.
             self._vec_fast_forward(owner, limit)
             if record.tokens_generated >= owner.output_len:
-                self._dense.tg[owner.dense] = record.tokens_generated
                 self._finish(owner)
                 return
         seq = self._seq
@@ -1796,16 +1687,10 @@ class Simulation:
             if record.tokens_generated >= owner.output_len:
                 self._seq = seq
                 self.fast_forwarded_tokens += produced
-                dense = self._dense
-                if dense is not None:
-                    dense.tg[owner.dense] = record.tokens_generated
                 self._finish(owner)
                 return
         self._seq = seq
         self.fast_forwarded_tokens += produced
-        dense = self._dense
-        if dense is not None:
-            dense.tg[owner.dense] = record.tokens_generated
 
     def _vec_fast_forward(self, owner: _ActiveRequest, limit: float) -> int:
         """Macro-step whole decode rounds of a closed window at once.
@@ -1981,8 +1866,6 @@ class Simulation:
         for index, hop in enumerate(active.hops):
             hop.pool.free(active.kv_allocated(index))
         active.live = False
-        if self._dense is not None:
-            self._dense.retire(active.dense)
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
@@ -2010,8 +1893,6 @@ class Simulation:
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
         self._disrupted = True
-        if self._dense is not None:
-            self._dense.retire(active.dense)
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
@@ -2079,12 +1960,6 @@ class Simulation:
         except SimulationError:
             self.scheduler.notify_failed(hedge_id)
             return
-        dense = self._dense
-        if dense is not None:
-            hedge.dense = dense.add_row(
-                hedge_id, hedge.output_len, hedge.entry_channel,
-                hedge.attempt,
-            )
         hedge.hedge = active
         active.hedge = hedge
         self._active[hedge_id] = hedge
@@ -2135,8 +2010,6 @@ class Simulation:
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
         self._disrupted = True
-        if self._dense is not None:
-            self._dense.retire(active.dense)
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
@@ -2891,8 +2764,7 @@ class Simulation:
     @property
     def engine_stats(self) -> dict[str, int]:
         """Hot-loop telemetry: events popped, grouped hops, fast-forwards,
-        and the batch engine's wide-path counters (always present, zero
-        under the hop engine)."""
+        and the vectorized-path counters."""
         return {
             "events_popped": self.events_popped,
             "grouped_hops": self.grouped_hops,

@@ -310,7 +310,7 @@ def check_milp_oracles(
 
 
 # ----------------------------------------------------------------------
-# Simulation engines: hop-table engine vs. per-hop vs. the frozen baseline
+# Simulation engines: fast paths vs. per-hop vs. the frozen baseline
 # ----------------------------------------------------------------------
 def _nan_equal(a: float, b: float) -> bool:
     """Exact float equality with NaN == NaN (unset timestamps)."""
@@ -320,12 +320,11 @@ def _nan_equal(a: float, b: float) -> bool:
 def _run_engine(family: str, seed: int, size: str, engine: str):
     """Plan and serve one freshly-generated scenario on one engine.
 
-    ``engine`` is ``"legacy"`` (the frozen pre-overhaul loop), ``"hop"``
-    (the current engine), ``"perhop"`` (the current engine with
-    coalescing disabled — one heap event per hop), or ``"batch"`` (the
-    cross-request batch-level engine). Every engine gets its own
-    generation: serving and churn mutate the cluster, and schedulers are
-    stateful.
+    ``engine`` is ``"legacy"`` (the frozen pre-overhaul loop),
+    ``"default"`` (the current engine), or ``"perhop"`` (the current
+    engine with coalescing disabled — one heap event per hop). Every
+    engine gets its own generation: serving and churn mutate the
+    cluster, and schedulers are stateful.
     """
     from repro.bench.runner import make_planner, make_scheduler
     from repro.core.errors import ReproError
@@ -360,8 +359,6 @@ def _run_engine(family: str, seed: int, size: str, engine: str):
         sim_cls = Simulation
         if engine == "perhop":
             kwargs["coalescing"] = False
-        elif engine == "batch":
-            kwargs["engine"] = "batch"
     sim = sim_cls(
         cluster=scenario.cluster,
         model=scenario.model,
@@ -510,36 +507,33 @@ def check_sim_engines(
     """The simulator-overhaul differential oracle for one address.
 
     Replays the scenario through the frozen pre-overhaul engine, the
-    hop-table engine, the hop-table engine with coalescing disabled, and
-    the cross-request batch-level engine, and requires *exactly* equal
-    observables — per-request token times, serving metrics, KV pools,
-    executor utilization, and per-channel network statistics. This is the
-    guarantee behind the overhaul: hop groups, the closed-window
-    fast-forward, the vectorized forwarding, and the batch engine's dense
-    arrays and macro-stepping change wall-clock speed and nothing else.
+    current engine, and the current engine with coalescing disabled, and
+    requires *exactly* equal observables — per-request token times,
+    serving metrics, KV pools, executor utilization, and per-channel
+    network statistics. This is the guarantee behind the overhaul: hop
+    groups, the vectorized cohorts, and the closed-window fast-forward
+    change wall-clock speed and nothing else.
     """
     legacy = _engine_observables(*_run_engine(family, seed, size, "legacy"))
-    hop = _engine_observables(*_run_engine(family, seed, size, "hop"))
+    default = _engine_observables(*_run_engine(family, seed, size, "default"))
     perhop = _engine_observables(*_run_engine(family, seed, size, "perhop"))
-    batch = _engine_observables(*_run_engine(family, seed, size, "batch"))
-    violations = _compare_observables("hop-vs-legacy", hop, legacy)
+    violations = _compare_observables("default-vs-legacy", default, legacy)
     violations.extend(_compare_observables("perhop-vs-legacy", perhop, legacy))
-    violations.extend(_compare_observables("batch-vs-legacy", batch, legacy))
     return violations
 
 
-def check_batch_engine(
+def check_fast_paths(
     family: str, seed: int, size: str = "smoke"
 ) -> list[Violation]:
-    """Batch-engine differential for full-config scenario addresses.
+    """Fast-path differential for full-config scenario addresses.
 
     The plain engine matrix (:func:`check_sim_engines`) serves requests
     and raw churn only; this oracle replays one address through the
     *complete* harness configuration — detection-mode chaos controllers,
     elastic residency and autoscaling, tenancy with fair queueing and
-    admission — on the hop-table engine and the batch engine, and
-    requires exactly equal observables (per-tenant token accounting
-    included). Works for every family in
+    admission — with coalescing on (the default) and off (the per-hop
+    reference), and requires exactly equal observables (per-tenant token
+    accounting included). Works for every family in
     :data:`repro.scenarios.generator.ALL_FAMILIES`; the chaos / elastic /
     tenant families are the ones only this oracle covers.
     """
@@ -549,15 +543,16 @@ def check_batch_engine(
 
     runs = {}
     violations: list[Violation] = []
-    for engine in ("hop", "batch"):
-        report = run_scenario(generate_scenario(family, seed, size), engine)
+    for label, coalescing in (("default", True), ("perhop", False)):
+        report = run_scenario(
+            generate_scenario(family, seed, size), coalescing=coalescing
+        )
         for violation in report.violations:
             violations.append(Violation(
-                violation.invariant,
-                f"[{engine} engine] {violation.detail}",
+                violation.invariant, f"[{label}] {violation.detail}",
             ))
-        runs[engine] = _engine_observables(report.sim, report.metrics)
-    violations.extend(
-        _compare_observables("batch-vs-hop", runs["batch"], runs["hop"])
-    )
+        runs[label] = _engine_observables(report.sim, report.metrics)
+    violations.extend(_compare_observables(
+        "default-vs-perhop", runs["default"], runs["perhop"]
+    ))
     return violations

@@ -204,7 +204,7 @@ def _fingerprint(sim: Simulation, metrics: ServingMetrics) -> str:
 
 def run_scenario(
     scenario: Scenario,
-    engine: str = "hop",
+    coalescing: bool = True,
     plan: tuple[str, dict[str, tuple[int, int]]] | None = None,
 ) -> ScenarioReport:
     """Play one scenario end-to-end, collecting invariant violations.
@@ -214,8 +214,8 @@ def run_scenario(
 
     Args:
         scenario: The generated scenario to serve.
-        engine: Simulation engine (``"hop"`` or ``"batch"``); every
-            invariant must hold on both.
+        coalescing: ``Simulation(coalescing=...)``; ``False`` serves on
+            the per-hop reference path. Every invariant must hold on both.
         plan: Cached ``(method, intervals)`` from an earlier
             :func:`plan_scenario` of the same address, to skip the
             placement search (policy-grid cells evaluate one plan under
@@ -292,7 +292,7 @@ def run_scenario(
         debug_validate=scenario.detection,
         residency=scenario.residency,
         tenancy=scenario.tenancy,
-        engine=engine,
+        coalescing=coalescing,
     )
     report.sim = sim
     auditor = SchedulerAuditor(scheduler, residency=sim.residency)
@@ -385,7 +385,7 @@ def verify_scenario(
     size: str = "smoke",
     determinism: bool = True,
     flow_differential: bool = True,
-    engine: str = "hop",
+    coalescing: bool = True,
     scheduler: str | None = None,
     plan: tuple[str, dict[str, tuple[int, int]]] | None = None,
 ) -> ScenarioReport:
@@ -399,7 +399,8 @@ def verify_scenario(
             and require a bit-identical outcome fingerprint.
         flow_differential: Cross-validate ``FlowGraph.reevaluate`` against
             fresh rebuilds on seeded random placements of this scenario.
-        engine: Simulation engine to run on.
+        coalescing: Serve with coalescing on (the default) or on the
+            per-hop reference path.
         scheduler: Scheduling-policy override (``None`` = the scenario's
             own draw) — policy-grid experiments sweep this axis.
         plan: Cached ``(method, intervals)`` plan hint, forwarded to
@@ -411,14 +412,14 @@ def verify_scenario(
             scenario = replace(scenario, scheduler_method=scheduler)
         return scenario
 
-    report = run_scenario(fresh(), engine=engine, plan=plan)
+    report = run_scenario(fresh(), coalescing=coalescing, plan=plan)
     if flow_differential:
         # Fresh generation: the first run mutated the cluster.
         report.violations.extend(
             check_reevaluate_vs_rebuild(generate_scenario(family, seed, size))
         )
     if determinism:
-        replay = run_scenario(fresh(), engine=engine, plan=plan)
+        replay = run_scenario(fresh(), coalescing=coalescing, plan=plan)
         if replay.fingerprint != report.fingerprint:
             report.violations.append(Violation(
                 "per_seed_determinism",
@@ -444,7 +445,6 @@ def verify_scenario_record(
     milp_oracles: bool = False,
     determinism: bool = True,
     flow_differential: bool = True,
-    engine: str = "hop",
     scheduler: str | None = None,
     plan: tuple[str, dict[str, tuple[int, int]]] | None = None,
 ) -> dict:
@@ -479,7 +479,7 @@ def verify_scenario_record(
         report = verify_scenario(
             family, seed, size,
             determinism=determinism, flow_differential=flow_differential,
-            engine=engine, scheduler=scheduler, plan=plan,
+            scheduler=scheduler, plan=plan,
         )
         violations = list(report.violations)
         if milp_oracles:

@@ -1,16 +1,16 @@
-"""The cross-request batch-level engine must match the hop-table engine.
+"""The simulator's batch-level fast paths must match per-hop stepping.
 
-The batch engine (``engine="batch"``) moves hot per-request state into
-dense numpy arrays, advances same-channel decode cohorts with vectorized
-folds, and macro-steps whole decode rounds through the vectorized
-steady-state fast-forward. All of it is specified as *speed only*: these
-tests replay scenarios through both engines and require exactly equal
-observables, including the full-config families the plain engine matrix
-cannot express (detection-mode chaos, elastic residency, tenancy).
+The default engine advances same-channel decode cohorts with vectorized
+folds, fast-forwards closed windows while other requests are parked,
+and macro-steps whole decode rounds through the vectorized steady-state
+fast-forward. All of it is specified as *speed only*: these tests replay
+scenarios with coalescing on (the default) and off (``coalescing=False``,
+one heap event per hop) and require exactly equal observables, including
+the full-config families the plain engine matrix cannot express
+(detection-mode chaos, elastic residency, tenancy).
 
-``tests/test_sim_equivalence.py`` additionally folds the batch engine
-into the classic 24-address legacy/hop/perhop matrix via
-``check_sim_engines``.
+``tests/test_sim_equivalence.py`` covers the classic 24-address
+legacy / default / per-hop matrix via ``check_sim_engines``.
 """
 
 import pytest
@@ -23,11 +23,10 @@ from repro.models.specs import ModelSpec
 from repro.scenarios import CHAOS_FAMILY, ELASTIC_FAMILY, TENANT_FAMILY
 from repro.scheduling import HelixScheduler
 from repro.sim import Request, Simulation
-from repro.sim.request import RequestInterner
 from repro.testkit.differential import (
     _compare_observables,
     _engine_observables,
-    check_batch_engine,
+    check_fast_paths,
 )
 
 SEEDS = range(3)
@@ -45,7 +44,7 @@ FULL_CONFIG_MATRIX = [
 )
 def test_batch_engine_matches_on_full_config_address(family, seed):
     """Chaos / elastic / tenant addresses: exactly equal observables."""
-    violations = check_batch_engine(family, seed, "smoke")
+    violations = check_fast_paths(family, seed, "smoke")
     assert not violations, "\n".join(str(v) for v in violations)
 
 
@@ -70,7 +69,7 @@ def _single_stage_material():
     return cluster, model, placement, flow
 
 
-def _serve(requests, engine, tenancy=None, events=(), **sim_kwargs):
+def _serve(requests, coalescing=True, tenancy=None, events=(), **sim_kwargs):
     cluster, model, placement, flow = _single_stage_material()
     profiler = Profiler()
     scheduler = HelixScheduler(
@@ -79,7 +78,7 @@ def _serve(requests, engine, tenancy=None, events=(), **sim_kwargs):
     )
     sim = Simulation(
         cluster, model, placement, scheduler, list(requests),
-        profiler=profiler, max_time=1e9, seed=0, engine=engine,
+        profiler=profiler, max_time=1e9, seed=0, coalescing=coalescing,
         tenancy=tenancy, **sim_kwargs,
     )
     for when, action in events:
@@ -89,15 +88,16 @@ def _serve(requests, engine, tenancy=None, events=(), **sim_kwargs):
 
 
 def _assert_engines_agree(requests, tenancy=None, events=()):
-    hop = _serve(requests, "hop", tenancy=tenancy, events=events)
-    batch = _serve(requests, "batch", tenancy=tenancy, events=events)
+    """Serve with and without coalescing; returns the two simulations."""
+    perhop = _serve(requests, False, tenancy=tenancy, events=events)
+    default = _serve(requests, True, tenancy=tenancy, events=events)
     violations = _compare_observables(
-        "batch-vs-hop",
-        _engine_observables(*batch),
-        _engine_observables(*hop),
+        "default-vs-perhop",
+        _engine_observables(*default),
+        _engine_observables(*perhop),
     )
     assert not violations, "\n".join(str(v) for v in violations)
-    return hop[0], batch[0]
+    return perhop[0], default[0]
 
 
 def test_single_request_trace_macro_steps_almost_everything():
@@ -106,26 +106,26 @@ def test_single_request_trace_macro_steps_almost_everything():
     # ulp within a few rounds, and the engine (correctly) falls back to
     # scalar stepping rather than commit an inexact prefix.
     requests = [Request("solo", 64, 300, 10.0)]
-    _, batch = _assert_engines_agree(requests)
+    _, default = _assert_engines_agree(requests)
     # One request on an idle pipeline is one long closed window; all but
     # the boundary rounds commit through the vectorized fast-forward.
-    assert batch.vec_fast_forwarded_tokens > 250
-    assert batch.record_of("solo").tokens_generated == 300
+    assert default.vec_fast_forwarded_tokens > 250
+    assert default.record_of("solo").tokens_generated == 300
 
 
 def test_single_request_at_time_zero_still_matches():
     """The ulp-divergent regime: scalar fallback, still bit-identical."""
     requests = [Request("solo", 64, 300, 0.0)]
-    _, batch = _assert_engines_agree(requests)
-    assert batch.fast_forwarded_tokens == 299
+    _, default = _assert_engines_agree(requests)
+    assert default.fast_forwarded_tokens == 299
 
 
 def test_simultaneous_completions_keep_tie_order():
     """Identical flooded requests finish at the same instant.
 
     Completion events then tie on time and are ordered by heap sequence
-    number alone; the batch engine's cohort advancement must allocate
-    sequence numbers so ties break exactly as the scalar engine's.
+    number alone; the vectorized cohort advancement must allocate
+    sequence numbers so ties break exactly as per-hop stepping's.
     """
     model = ModelSpec(
         name="batch-twin-8L", num_layers=8, hidden_size=1024, num_heads=8,
@@ -147,21 +147,21 @@ def test_simultaneous_completions_keep_tie_order():
     flow = FlowGraph(cluster, model, placement).solve()
     requests = [Request(f"r{i:02d}", 16, 40, 0.0) for i in range(8)]
     runs = {}
-    for engine in ("hop", "batch"):
+    for coalescing in (True, False):
         scheduler = HelixScheduler(
             cluster, model, placement, flow=flow, expected_output_len=40.0
         )
         sim = Simulation(
             cluster, model, placement, scheduler, list(requests),
-            max_time=1e9, seed=0, engine=engine,
+            max_time=1e9, seed=0, coalescing=coalescing,
         )
         metrics = sim.run()
-        runs[engine] = _engine_observables(sim, metrics)
+        runs[coalescing] = _engine_observables(sim, metrics)
     violations = _compare_observables(
-        "batch-vs-hop", runs["batch"], runs["hop"]
+        "default-vs-perhop", runs[True], runs[False]
     )
     assert not violations, "\n".join(str(v) for v in violations)
-    finishes = [row[5] for row in runs["batch"]["records"].values()]
+    finishes = [row[5] for row in runs[True]["records"].values()]
     assert len(set(finishes)) < len(finishes)  # ties actually occurred
 
 
@@ -176,9 +176,9 @@ def test_mid_macro_step_churn_invalidates_window():
         )
 
     events = [(1.0, fail)]
-    hop, batch = _assert_engines_agree(requests, events=events)
-    assert batch.vec_fast_forwarded_tokens > 0
-    record = batch.record_of("victim")
+    _, default = _assert_engines_agree(requests, events=events)
+    assert default.vec_fast_forwarded_tokens > 0
+    record = default.record_of("victim")
     assert record.retries == 1
     assert record.tokens_generated == 400
 
@@ -188,13 +188,12 @@ def test_group_fast_forward_covers_concurrent_closed_windows():
     from repro.trace.arrival import diurnal_arrivals
 
     base = [Request(f"d{i:03d}", 64, 400) for i in range(60)]
-    # Offered load ~0.4: arrivals overlap, so the sole-live-request
-    # trigger of the hop engine never sees most of these windows.
+    # Offered load ~0.4: arrivals overlap, so a sole-live-request
+    # trigger would never see most of these windows.
     trace = diurnal_arrivals(base, 0.4 / 3.16, seed=0)
-    hop, batch = _assert_engines_agree(trace)
-    assert batch.group_fast_forwards > 0
-    assert batch.vec_fast_forwarded_tokens > 10_000
-    assert hop.group_fast_forwards == 0  # hop keeps the PR-5 trigger
+    _, default = _assert_engines_agree(trace)
+    assert default.group_fast_forwards > 0
+    assert default.vec_fast_forwarded_tokens > 10_000
 
 
 def test_tenancy_tagged_trace_matches_and_disables_vec_paths():
@@ -219,40 +218,21 @@ def test_tenancy_tagged_trace_matches_and_disables_vec_paths():
         )
         for i in range(30)
     ]
-    hop = _serve(requests, "hop", tenancy=tenancy())
-    batch = _serve(requests, "batch", tenancy=tenancy())
-    violations = _compare_observables(
-        "batch-vs-hop",
-        _engine_observables(*batch),
-        _engine_observables(*hop),
-    )
-    assert not violations, "\n".join(str(v) for v in violations)
+    perhop, default = _assert_engines_agree(requests, tenancy=tenancy())
     assert (
-        batch[0].tenancy.tokens_by_tenant == hop[0].tenancy.tokens_by_tenant
+        default.tenancy.tokens_by_tenant == perhop.tenancy.tokens_by_tenant
     )
-    # Per-token tenant accounting is order-sensitive; the batch engine
-    # falls back to scalar stepping rather than approximate it.
-    assert batch[0].vectorized_tokens == 0
-    assert batch[0].vec_fast_forwarded_tokens == 0
+    # Per-token tenant accounting is order-sensitive; the vectorized
+    # paths fall back to scalar stepping rather than approximate it.
+    assert default.vectorized_tokens == 0
+    assert default.vec_fast_forwarded_tokens == 0
 
 
 # ----------------------------------------------------------------------
 # Engine plumbing
 # ----------------------------------------------------------------------
-def test_engine_argument_is_validated():
-    from repro.core.errors import SimulationError
-
-    cluster, model, placement, flow = _single_stage_material()
-    scheduler = HelixScheduler(cluster, model, placement, flow=flow)
-    with pytest.raises(SimulationError, match="engine"):
-        Simulation(
-            cluster, model, placement, scheduler,
-            [Request("r", 16, 8)], engine="bogus",
-        )
-
-
 def test_engine_stats_exposes_batch_telemetry():
-    sim, _ = _serve([Request("solo", 64, 300, 0.0)], "batch")
+    sim, _ = _serve([Request("solo", 64, 300, 0.0)])
     stats = sim.engine_stats
     for key in (
         "events_popped", "grouped_hops", "fast_forwarded_tokens",
@@ -261,15 +241,3 @@ def test_engine_stats_exposes_batch_telemetry():
     ):
         assert key in stats
     assert stats["vec_fast_forwarded_tokens"] <= stats["fast_forwarded_tokens"]
-
-
-def test_request_interner_is_stable_and_dense():
-    interner = RequestInterner()
-    assert interner.intern("a") == 0
-    assert interner.intern("b") == 1
-    assert interner.intern("a") == 0  # re-interning returns the old slot
-    assert len(interner) == 2
-    assert "a" in interner and "c" not in interner
-    assert interner.name_of(1) == "b"
-    assert interner.index_of("b") == 1
-    assert interner.index_of("missing") is None

@@ -229,3 +229,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Request("r", 5, 5, arrival_time=-1.0)
         assert Request("r", 5, 5).total_tokens == 10
+
+    @pytest.mark.parametrize("arrival", [math.inf, math.nan])
+    def test_non_finite_arrival_is_rejected(self, arrival):
+        # An infinite arrival used to be dropped silently (never reaching
+        # the coordinator) and a NaN one was served at NaN times.
+        with pytest.raises(ValueError, match="finite"):
+            Request("b", 16, 8, arrival)

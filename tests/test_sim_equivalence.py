@@ -1,15 +1,15 @@
 """The simulator overhaul must not change any observable metric.
 
 The hop-table engine (groups, closed-window fast-forward, vectorized
-forwarding) is specified as *bit-identical* to the frozen pre-overhaul
-event loop. These tests enforce that specification:
+forwarding and cohorts) is specified as *bit-identical* to the frozen
+pre-overhaul event loop. These tests enforce that specification:
 
 * the differential oracle replays every tier-1 scenario address (all 4
   families x 6 seeds, churny addresses included) through the legacy
-  engine, the hop-table engine, the hop-table engine with coalescing
-  disabled, and the cross-request batch-level engine, and requires
-  exactly equal observables (``tests/test_batch_engine.py`` extends the
-  batch engine's coverage to the chaos / elastic / tenant families);
+  engine, the default engine, and the default engine with coalescing
+  disabled, and requires exactly equal observables
+  (``tests/test_batch_engine.py`` extends the coverage to the chaos /
+  elastic / tenant families);
 * a scripted closed-window scenario proves the fast-forward engages and
   that a churn event lands mid-window, forcing invalidation (the window
   re-materializes its in-flight hop and falls back to stepping);
@@ -44,7 +44,7 @@ MATRIX = [
     "family,seed", MATRIX, ids=[f"{f}-{s}" for f, s in MATRIX]
 )
 def test_engines_agree_on_matrix_address(family, seed):
-    """Legacy vs. hop-table vs. per-hop vs. batch: equal observables."""
+    """Legacy vs. default vs. per-hop: equal observables."""
     violations = check_sim_engines(family, seed, "smoke")
     assert not violations, "\n".join(str(v) for v in violations)
 
