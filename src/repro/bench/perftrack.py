@@ -27,16 +27,20 @@ needs a trajectory, not anecdotes. This module provides:
   ``BENCH_online.json`` at the repo root so future PRs can compare
   against a recorded baseline.
 
-``benchmarks/bench_perf_flow.py``, ``benchmarks/bench_perf_milp.py``, and
-``benchmarks/bench_online_churn.py`` drive the full-size configurations;
-the tier-1 suite runs the same harnesses at smoke sizes (``smoke=True``)
-on every test run so the JSON artifact generation never rots.
+Each suite also carries a table of full-size acceptance gates
+(:data:`FLOW_GATES`, :data:`MILP_GATES`, :data:`ONLINE_GATES`) that
+``python -m repro.exp run bench-<suite>`` enforces: a missed target fails
+the run and names the metric. The tier-1 suite runs the same harnesses at
+smoke sizes (``smoke=True``) on every test run so the JSON artifact
+generation never rots; smoke runs write ``BENCH_<suite>.smoke.json`` and
+never overwrite the committed full-size artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import platform
 import random
 import sys
@@ -53,9 +57,50 @@ from repro.models.specs import LLAMA_70B, ModelSpec
 
 SCHEMA_VERSION = 1
 REPO_ROOT = Path(__file__).resolve().parents[3]
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_flow.json"
-DEFAULT_MILP_OUTPUT = REPO_ROOT / "BENCH_milp.json"
-DEFAULT_ONLINE_OUTPUT = REPO_ROOT / "BENCH_online.json"
+
+
+def artifact_path(suite: str, smoke: bool = False) -> Path:
+    """Default output of ``run_<suite>_bench``.
+
+    Full-size runs write the committed ``BENCH_<suite>.json`` at the repo
+    root; smoke runs write ``BENCH_<suite>.smoke.json`` beside it, so a
+    smoke run never overwrites a committed full-size artifact.
+    """
+    return REPO_ROOT / f"BENCH_{suite}{'.smoke' if smoke else ''}.json"
+
+
+_COMPARATORS = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "<": operator.lt,
+}
+
+
+def gate_violations(derived: dict, gates: dict) -> list[dict]:
+    """Check a suite's derived metrics against its gate table.
+
+    Args:
+        derived: The ``derived`` block of a benchmark document.
+        gates: ``metric -> (comparator, threshold)``; the comparator is
+            one of ``>=``, ``>``, ``<=``, ``<``.
+
+    Returns:
+        One ``perf_gate`` violation per missed (or missing) metric, in the
+        shape the experiment harness uses for failing cells; empty when
+        every target is met.
+    """
+    violations = []
+    for metric, (comparator, threshold) in gates.items():
+        value = derived.get(metric)
+        if value is None or not _COMPARATORS[comparator](value, threshold):
+            violations.append({
+                "invariant": "perf_gate",
+                "detail": f"{metric} = {value} (target {comparator} "
+                          f"{threshold})",
+            })
+    return violations
+
 
 #: A small model whose formulations our pure-Python branch-and-bound can
 #: solve to proven optimality in benchmark time.
@@ -153,9 +198,9 @@ class PerfTracker:
             "derived": dict(self.derived),
         })
 
-    def write(self, path: Path | str | None = None) -> Path:
-        """Serialize to ``path`` (default: ``BENCH_flow.json`` at repo root)."""
-        target = Path(path) if path is not None else DEFAULT_OUTPUT
+    def write(self, path: Path | str) -> Path:
+        """Serialize to ``path``."""
+        target = Path(path)
         target.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
         return target
 
@@ -696,7 +741,7 @@ def _fig12_online_scenario(
     return cluster, model, profiler, result, trace, scheduler
 
 
-def bench_online_churn(
+def bench_online_failover(
     tracker: PerfTracker,
     num_requests: int = 200,
     fail_at: float = 12.0,
@@ -855,6 +900,18 @@ def bench_online_soak(
     return metrics
 
 
+#: Full-size ``BENCH_online.json`` targets: the fig12-small failover
+#: recovers >= 0.7 of its pre-failure goodput with a warm-started replan
+#: under 2 s, and serving survives the random-churn soak.
+ONLINE_GATES = {
+    "online_recovery_ratio": (">=", 0.7),
+    "online_replan_wall_s": ("<", 2.0),
+    "online_replan_count": (">=", 1),
+    "soak_replans_applied": (">=", 1),
+    "soak_churn_goodput": (">", 0),
+}
+
+
 def run_online_bench(
     smoke: bool = False, path: Path | str | None = None
 ) -> dict:
@@ -866,21 +923,33 @@ def run_online_bench(
 
     Args:
         smoke: Tier-1-sized run (seconds-scale total).
-        path: Output path override; defaults to the repo root artifact.
+        path: Output path override; defaults to :func:`artifact_path`.
 
     Returns:
         The serialized benchmark document (also written to disk).
     """
     tracker = PerfTracker(label="online-smoke" if smoke else "online-full")
     if smoke:
-        bench_online_churn(
+        bench_online_failover(
             tracker, num_requests=150, fail_at=12.0, horizon=30.0
         )
     else:
-        bench_online_churn(tracker)
+        bench_online_failover(tracker)
         bench_online_soak(tracker)
-    tracker.write(path if path is not None else DEFAULT_ONLINE_OUTPUT)
+    tracker.write(path or artifact_path("online", smoke))
     return tracker.to_dict()
+
+
+#: Full-size ``BENCH_milp.json`` targets: end-to-end Helix MILP planning
+#: >= 3x the pre-optimization configuration with both backends agreeing
+#: on placement throughput, and every MILP-layer optimization a net win.
+MILP_GATES = {
+    "milp_planner_speedup": (">=", 3.0),
+    "milp_planner_backend_parity": ("<=", 1e-6),
+    "bnb_node_factor": (">", 1.0),
+    "milp_compile_speedup": (">", 1.0),
+    "milp_feascheck_speedup": (">", 1.0),
+}
 
 
 def run_milp_bench(
@@ -891,7 +960,7 @@ def run_milp_bench(
     Args:
         smoke: Use tiny sizes (seconds-scale total, exercised by tier-1
             tests) instead of the full configuration.
-        path: Output path override; defaults to the repo root artifact.
+        path: Output path override; defaults to :func:`artifact_path`.
 
     Returns:
         The serialized benchmark document (also written to disk).
@@ -906,8 +975,17 @@ def run_milp_bench(
         bench_milp_feascheck(tracker)
         bench_milp_bnb(tracker)
         bench_milp_planner(tracker)
-    tracker.write(path if path is not None else DEFAULT_MILP_OUTPUT)
+    tracker.write(path or artifact_path("milp", smoke))
     return tracker.to_dict()
+
+
+#: Full-size ``BENCH_flow.json`` targets: incremental placement
+#: evaluation >= 5x the rebuild-per-candidate baseline, and network reuse
+#: faster than rebuilding.
+FLOW_GATES = {
+    "placement_eval_speedup": (">=", 5.0),
+    "kernel_reuse_speedup": (">", 1.0),
+}
 
 
 def run_flow_bench(
@@ -918,7 +996,7 @@ def run_flow_bench(
     Args:
         smoke: Use tiny sizes (seconds-scale total, exercised by tier-1
             tests) instead of the full configuration.
-        path: Output path override; defaults to the repo root artifact.
+        path: Output path override; defaults to :func:`artifact_path`.
 
     Returns:
         The serialized benchmark document (also written to disk).
@@ -933,5 +1011,5 @@ def run_flow_bench(
         bench_kernel_reuse(tracker)
         bench_placement_evaluation(tracker)
         bench_planner(tracker)
-    tracker.write(path)
+    tracker.write(path or artifact_path("flow", smoke))
     return tracker.to_dict()

@@ -39,7 +39,7 @@ asserted equal between engines on every run — the
 full observable-equality guarantee is enforced by
 ``tests/test_sim_equivalence.py`` over the scenario matrix.
 
-``benchmarks/bench_perf_sim.py`` drives the full configuration; the
+``python -m repro.exp run bench-sim`` drives the full configuration; the
 tier-1 suite runs ``run_sim_bench(smoke=True)`` so artifact generation
 never rots.
 """
@@ -52,7 +52,7 @@ from pathlib import Path
 
 from types import SimpleNamespace
 
-from repro.bench.perftrack import DEFAULT_OUTPUT, PerfTracker
+from repro.bench.perftrack import PerfTracker, artifact_path
 from repro.cluster import A100_40G, Cluster, Profiler, small_cluster_fig12
 from repro.core.placement_types import ModelPlacement
 from repro.core.units import GBIT
@@ -65,8 +65,6 @@ from repro.sim import Request, Simulation
 from repro.sim._legacy_reference import LegacySimulation
 from repro.trace.arrival import diurnal_arrivals, poisson_arrivals
 from repro.trace.azure import AzureTraceConfig, synthesize_azure_trace
-
-DEFAULT_SIM_OUTPUT = DEFAULT_OUTPUT.parent / "BENCH_sim.json"
 
 #: (requests, output_len, kv_capacity_scale) per flooded tier.
 _FLOOD_TIERS = {
@@ -344,7 +342,8 @@ def run_sim_bench(
         smoke: Run only the small tiers (seconds-scale total; exercised
             by the tier-1 perf tests so the artifact generation never
             rots).
-        path: Output path override; defaults to the repo-root artifact.
+        path: Output path override; defaults to
+            :func:`~repro.bench.perftrack.artifact_path`.
 
     Returns:
         The serialized benchmark document (also written to disk).
@@ -356,5 +355,5 @@ def run_sim_bench(
         bench_sim_poisson(tracker, size, quick=smoke)
         bench_sim_churn_soak(tracker, size, quick=smoke)
         bench_sim_diurnal(tracker, size, quick=smoke)
-    tracker.write(path if path is not None else DEFAULT_SIM_OUTPUT)
+    tracker.write(path or artifact_path("sim", smoke))
     return tracker.to_dict()

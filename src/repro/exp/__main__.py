@@ -96,6 +96,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     for cell in report.failing_cells:
         print(f"FAIL {cell['kind']} {json.dumps(cell['params'])}")
+        for violation in cell["violations"]:
+            # A crash's detail is a traceback; its last line names the error.
+            detail = (violation["detail"].strip().splitlines() or [""])[-1]
+            print(f"  {violation['invariant']}: {detail}")
         if cell.get("repro"):
             print(f"  reproduce: {cell['repro']}")
     return 1 if report.failures else 0

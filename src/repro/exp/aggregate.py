@@ -1,10 +1,9 @@
 """Aggregators: per-run records -> the experiment's headline document.
 
 Each aggregator takes ``(spec, records)`` — records in manifest order —
-and returns a JSON document shaped like the report the corresponding
-standalone sweep script has always written, so downstream consumers
-(perf-tracking diffs, the BENCH_* headline files, plotting scripts) keep
-working unchanged.
+and returns the experiment's JSON report: the document ``--output``
+writes and the source of the ``BENCH_*`` headline files that perf-tracking
+diffs and plotting scripts read.
 
 Aggregates deliberately exclude wall-clock fields (per-cell ``seconds``,
 sweep wall time): a resumed run re-executes some cells with different

@@ -366,41 +366,45 @@ def diurnal_perf_cell(params: dict) -> dict:
 def perf_suite_cell(params: dict) -> dict:
     """Regenerate one ``BENCH_*.json`` artifact (flow/milp/online/sim).
 
-    The artifact is written to its committed repo-root path (or
-    ``params["out"]``), exactly what the standalone ``bench_perf_*``
-    scripts do — so every headline number is reachable through
-    ``python -m repro.exp run bench-<suite>``.
+    ``params["size"]`` picks the suite's full or smoke configuration; the
+    artifact goes to ``params["out"]`` or the suite's default
+    (:func:`repro.bench.perftrack.artifact_path` — a smoke run never
+    overwrites the committed full-size file). Full-size runs are checked
+    against the suite's gate table: every missed target becomes a
+    ``perf_gate`` violation and fails the cell.
     """
+    from repro.bench import perftrack, simbench
+
+    suites = {
+        "flow": (perftrack.run_flow_bench, perftrack.FLOW_GATES),
+        "milp": (perftrack.run_milp_bench, perftrack.MILP_GATES),
+        "online": (perftrack.run_online_bench, perftrack.ONLINE_GATES),
+        "sim": (simbench.run_sim_bench, {}),
+    }
     suite = params["suite"]
-    smoke = params.get("smoke", False)
-    out = params.get("out")
+    size = params.get("size", "full")
     started = time.perf_counter()
     try:
-        if suite == "flow":
-            from repro.bench.perftrack import run_flow_bench
-            document = run_flow_bench(smoke=smoke, path=out)
-        elif suite == "milp":
-            from repro.bench.perftrack import run_milp_bench
-            document = run_milp_bench(smoke=smoke, path=out)
-        elif suite == "online":
-            from repro.bench.perftrack import run_online_bench
-            document = run_online_bench(smoke=smoke, path=out)
-        elif suite == "sim":
-            from repro.bench.simbench import run_sim_bench
-            document = run_sim_bench(smoke=smoke, path=out)
-        else:
+        if suite not in suites:
             raise ValueError(f"unknown perf suite {suite!r}")
+        run, gates = suites[suite]
+        document = run(smoke=size == "smoke", path=params.get("out"))
     except Exception:  # noqa: BLE001
         record = _crash_record(params)
         record["suite"] = suite
         record["seconds"] = round(time.perf_counter() - started, 3)
         return record
+    violations = (
+        [] if size == "smoke"
+        else perftrack.gate_violations(document["derived"], gates)
+    )
     return {
-        "ok": True,
+        "ok": not violations,
         "suite": suite,
-        "smoke": smoke,
+        "size": size,
         "label": document["label"],
         "derived": document["derived"],
+        "violations": violations,
         "seconds": round(time.perf_counter() - started, 3),
     }
 

@@ -147,7 +147,7 @@ def policy_compare(
     )
 
 
-def _perf(name: str, suite: str, smoke: bool = False) -> ExperimentSpec:
+def _perf(name: str, suite: str, size: str) -> ExperimentSpec:
     return ExperimentSpec.make(
         name=name,
         description=(
@@ -155,26 +155,26 @@ def _perf(name: str, suite: str, smoke: bool = False) -> ExperimentSpec:
         ),
         kind="perf_suite",
         extra_cells=(
-            RunCell.make("perf_suite", {"suite": suite, "smoke": smoke}),
+            RunCell.make("perf_suite", {"suite": suite, "size": size}),
         ),
         aggregate="perf_suite",
     )
 
 
-def bench_flow(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-flow", "flow", smoke)
+def bench_flow(size: str = "full") -> ExperimentSpec:
+    return _perf("bench-flow", "flow", size)
 
 
-def bench_milp(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-milp", "milp", smoke)
+def bench_milp(size: str = "full") -> ExperimentSpec:
+    return _perf("bench-milp", "milp", size)
 
 
-def bench_online(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-online", "online", smoke)
+def bench_online(size: str = "full") -> ExperimentSpec:
+    return _perf("bench-online", "online", size)
 
 
-def bench_sim(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-sim", "sim", smoke)
+def bench_sim(size: str = "full") -> ExperimentSpec:
+    return _perf("bench-sim", "sim", size)
 
 
 #: name -> factory(**overrides). ``python -m repro.exp list`` prints this.

@@ -162,6 +162,7 @@ def run_experiment(
                 "kind": r.get("kind"),
                 "params": r.get("params"),
                 "repro": r.get("repro"),
+                "violations": r.get("violations", []),
             }
             for r in failing
         ],

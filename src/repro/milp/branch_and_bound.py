@@ -33,7 +33,8 @@ machinery layered on top of the textbook skeleton:
   early, matching the paper's early-incumbent observation.
 
 Every feature has an independent switch so ablations can measure its
-node/LP-count contribution (``benchmarks/bench_perf_milp.py`` does).
+node/LP-count contribution (``python -m repro.exp run bench-milp``
+does).
 """
 
 from __future__ import annotations

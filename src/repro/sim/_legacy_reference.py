@@ -9,9 +9,9 @@ verbatim (modulo the class rename) for two jobs:
   through both engines and requires exactly equal serving metrics and
   per-request token times (the overhaul must not change any observable
   metric).
-* **Benchmark baseline** — ``benchmarks/bench_perf_sim.py`` measures the
-  overhauled engine's simulated-tokens-per-wall-second against this
-  engine on the same scenarios, so the recorded speedups stay
+* **Benchmark baseline** — ``python -m repro.exp run bench-sim``
+  measures the overhauled engine's simulated-tokens-per-wall-second
+  against this engine on the same scenarios, so the recorded speedups stay
   reproducible on any machine instead of referring to a number measured
   once on one laptop.
 

@@ -88,7 +88,7 @@ class TestSpec:
         spec = get_experiment("bench-flow")
         cells = spec.cells()
         assert len(cells) == 1
-        assert cells[0].params_dict == {"suite": "flow", "smoke": False}
+        assert cells[0].params_dict == {"suite": "flow", "size": "full"}
 
     def test_get_experiment_applies_known_overrides_only(self):
         spec = get_experiment("chaos-sweep", seeds=2, diurnal_tier="small")
@@ -295,3 +295,74 @@ class TestCLI:
             "--headline-out", str(tmp_path / "nope.json"),
         ])
         assert code == 2
+
+
+class TestPerfSuiteGates:
+    """Full-size ``bench-*`` runs enforce the suite's gate table."""
+
+    @pytest.fixture
+    def slow_flow(self, monkeypatch):
+        """Replace the flow suite with one that misses its headline."""
+        from repro.bench import perftrack
+
+        calls = []
+
+        def fake_run(smoke=False, path=None):
+            calls.append(smoke)
+            return {
+                "label": "flow-smoke" if smoke else "flow-full",
+                "derived": {
+                    "placement_eval_speedup": 4.0,
+                    "kernel_reuse_speedup": 2.0,
+                },
+            }
+
+        monkeypatch.setattr(perftrack, "run_flow_bench", fake_run)
+        return calls
+
+    def test_full_size_miss_fails_the_cell(self, slow_flow):
+        from repro.exp.cells import perf_suite_cell
+
+        record = perf_suite_cell({"suite": "flow", "size": "full"})
+        assert slow_flow == [False]
+        assert record["ok"] is False
+        assert [v["invariant"] for v in record["violations"]] == ["perf_gate"]
+        assert "placement_eval_speedup" in record["violations"][0]["detail"]
+
+    def test_smoke_size_skips_the_full_gates(self, slow_flow):
+        from repro.exp.cells import perf_suite_cell
+
+        record = perf_suite_cell({"suite": "flow", "size": "smoke"})
+        assert slow_flow == [True]
+        assert record["ok"] is True
+        assert record["label"] == "flow-smoke"
+        assert record["violations"] == []
+
+    def test_cli_exits_1_and_names_the_missed_metric(
+        self, slow_flow, tmp_path, capsys
+    ):
+        from repro.exp.__main__ import main
+
+        code = main([
+            "run", "bench-flow", "--results-dir", str(tmp_path), "--quiet",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "perf_gate: placement_eval_speedup = 4.0" in out
+
+    def test_size_smoke_runs_the_smoke_suite(self, tmp_path, monkeypatch):
+        from repro.bench import perftrack
+        from repro.exp.__main__ import main
+
+        monkeypatch.setattr(perftrack, "REPO_ROOT", tmp_path)
+        code = main([
+            "run", "bench-flow", "--size", "smoke",
+            "--results-dir", str(tmp_path / "exp"), "--quiet",
+            "--output", str(tmp_path / "report.json"),
+        ])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [row["label"] for row in report["results"]] == ["flow-smoke"]
+        # The smoke artifact lands beside, never on, the committed one.
+        assert (tmp_path / "BENCH_flow.smoke.json").exists()
+        assert not (tmp_path / "BENCH_flow.json").exists()

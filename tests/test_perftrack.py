@@ -1,13 +1,18 @@
 """Tests for the perf-tracking harness (``repro.bench.perftrack``)."""
 
 import json
+import math
 
 import pytest
 
 from repro.bench.perftrack import (
+    FLOW_GATES,
+    MILP_GATES,
+    ONLINE_GATES,
     PerfTracker,
     bench_cluster,
     candidate_placements,
+    gate_violations,
     run_flow_bench,
     run_milp_bench,
 )
@@ -38,6 +43,68 @@ class TestPerfTracker:
         assert doc["label"] == "unit"
         assert doc["derived"]["ratio"] == pytest.approx(ratio)
         assert [t["name"] for t in doc["timings"]] == ["slow", "fast"]
+
+
+#: Every full-size acceptance gate, pinned: (suite table, metric,
+#: comparator, threshold).
+FULL_GATES = [
+    (FLOW_GATES, "placement_eval_speedup", ">=", 5.0),
+    (FLOW_GATES, "kernel_reuse_speedup", ">", 1.0),
+    (MILP_GATES, "milp_planner_speedup", ">=", 3.0),
+    (MILP_GATES, "milp_planner_backend_parity", "<=", 1e-6),
+    (MILP_GATES, "bnb_node_factor", ">", 1.0),
+    (MILP_GATES, "milp_compile_speedup", ">", 1.0),
+    (MILP_GATES, "milp_feascheck_speedup", ">", 1.0),
+    (ONLINE_GATES, "online_recovery_ratio", ">=", 0.7),
+    (ONLINE_GATES, "online_replan_wall_s", "<", 2.0),
+    (ONLINE_GATES, "online_replan_count", ">=", 1),
+    (ONLINE_GATES, "soak_replans_applied", ">=", 1),
+    (ONLINE_GATES, "soak_churn_goodput", ">", 0),
+]
+
+
+class TestFullGates:
+    def test_gate_tables_hold_exactly_the_pinned_targets(self):
+        for table in (FLOW_GATES, MILP_GATES, ONLINE_GATES):
+            pinned = {
+                metric: (comparator, threshold)
+                for owner, metric, comparator, threshold in FULL_GATES
+                if owner is table
+            }
+            assert table == pinned
+
+    @pytest.mark.parametrize(
+        "table,metric,comparator,threshold", FULL_GATES,
+        ids=[gate[1] for gate in FULL_GATES],
+    )
+    def test_gate_boundary(self, table, metric, comparator, threshold):
+        passing = {
+            name: (target + 1.0 if op.startswith(">") else target / 2)
+            for name, (op, target) in table.items()
+        }
+        assert gate_violations(passing, table) == []
+
+        def missed(value):
+            violations = gate_violations({**passing, metric: value}, table)
+            assert all(metric in v["detail"] for v in violations)
+            return [v["invariant"] for v in violations]
+
+        upward = comparator.startswith(">")
+        inside = math.nextafter(threshold, math.inf if upward else -math.inf)
+        outside = math.nextafter(threshold, -math.inf if upward else math.inf)
+        strict = comparator in (">", "<")
+        assert missed(threshold) == (["perf_gate"] if strict else [])
+        assert missed(inside) == []
+        assert missed(outside) == ["perf_gate"]
+
+    def test_missing_or_nan_metric_is_a_violation(self):
+        violations = gate_violations({}, FLOW_GATES)
+        assert [v["detail"].split()[0] for v in violations] == list(FLOW_GATES)
+        nan = gate_violations(
+            {"placement_eval_speedup": math.nan, "kernel_reuse_speedup": 2.0},
+            FLOW_GATES,
+        )
+        assert len(nan) == 1 and "placement_eval_speedup" in nan[0]["detail"]
 
 
 class TestCandidateStream:

@@ -6,8 +6,8 @@ where the draw includes it) — with all cross-layer invariants, the
 determinism check. Any failure message ends with the exact
 ``python -m repro.testkit <family> <seed>`` command that replays it.
 
-The extended many-seed sweep (``--seeds``/``--size full``) lives in
-``benchmarks/bench_scenario_sweep.py`` and the scheduled CI job.
+The extended many-seed sweep is ``python -m repro.exp run scenario-sweep
+--size full`` (also the scheduled CI job).
 """
 
 import pytest
