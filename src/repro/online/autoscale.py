@@ -135,10 +135,7 @@ class Autoscaler:
 
     def _serving_count(self, sim) -> int:
         """Placement nodes actually able to serve right now."""
-        out = sim.down_nodes | sim.draining_nodes | sim.silent_down_nodes
-        return sum(
-            1 for nid in sim.placement.used_nodes if nid not in out
-        )
+        return sum(1 for nid in sim.placement.used_nodes if sim.can_serve(nid))
 
     def _scale_up(self, sim) -> None:
         spare = self.pool.pop(0)

@@ -310,10 +310,11 @@ class OnlineController:
             sim.apply_placement(degraded, degraded_flow)
             degraded_useful = False  # applied; not available as a fallback
 
-        if not self.replan:
+        def fallback(wall: float) -> ReplanRecord:
+            """Record serving on the surviving replicas (or on nothing)."""
             record = ReplanRecord(
                 sim_time=sim.now,
-                wall_seconds=0.0,
+                wall_seconds=wall,
                 throughput=(
                     degraded_flow.max_flow if degraded_flow else math.nan
                 ),
@@ -322,6 +323,9 @@ class OnlineController:
             )
             self.replans.append(record)
             return record
+
+        if not self.replan:
+            return fallback(0.0)
 
         # Tier 2: warm-started incremental LNS replanning on the subcluster.
         start = time.perf_counter()
@@ -355,16 +359,7 @@ class OnlineController:
                 # The skipped tier-1 swap becomes the fallback: serve on
                 # the surviving replicas since no repair materialized.
                 sim.apply_placement(degraded, degraded_flow)
-            record = ReplanRecord(
-                sim_time=sim.now,
-                wall_seconds=wall,
-                throughput=(
-                    degraded_flow.max_flow if degraded_flow else math.nan
-                ),
-                migrated=0,
-                status="degraded-only" if degraded_flow else "failed",
-            )
-            self.replans.append(record)
+            record = fallback(wall)
             # A failed replan (solver error or no servable repair) retries
             # with exponential backoff instead of giving up until the next
             # event: transient solver failures should not strand the run
@@ -388,18 +383,16 @@ class OnlineController:
             migrated=0,
             status="scheduled",
         )
-        if self.replan_delay > 0:
 
-            def apply_deferred(s, record=record):
-                record.migrated = len(s.apply_placement(placement, flow))
-                record.status = "applied"
-                self._reference_placement = placement
-
-            sim.schedule_event(sim.now + self.replan_delay, apply_deferred)
-        else:
-            record.migrated = len(sim.apply_placement(placement, flow))
+        def apply(s, record=record):
+            record.migrated = len(s.apply_placement(placement, flow))
             record.status = "applied"
             self._reference_placement = placement
+
+        if self.replan_delay > 0:
+            sim.schedule_event(sim.now + self.replan_delay, apply)
+        else:
+            apply(sim)
         self.replans.append(record)
         return record
 

@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.cluster.node import COORDINATOR
+from repro.sim.simulator import DOWN, SILENT
 
 #: log10(e) — converts the exponential survival exponent to phi digits.
 _LOG10_E = 0.4342944819032518
@@ -177,7 +178,7 @@ class FailureDetector:
             now + self.config.heartbeat_interval,
             lambda s, nid=node_id: self._emit_heartbeat(nid),
         )
-        if node_id in sim.down_nodes or node_id in sim.silent_down_nodes:
+        if sim.node_health(node_id) in (SILENT, DOWN):
             return  # dead processes do not heartbeat (zombies do)
         self.heartbeats_sent += 1
         channel = sim.channels.get((node_id, COORDINATOR))

@@ -363,10 +363,7 @@ def validate_schedule(events: Sequence[ClusterEvent], cluster) -> None:
                 f"{type(event).__name__} scheduled at negative time "
                 f"{event.time:g}"
             )
-        if isinstance(event, NodeFailure):
-            check_node(event, event.node_id)
-            failed.add(event.node_id)
-        elif isinstance(event, NodeDrain):
+        if isinstance(event, (NodeFailure, NodeDrain, *GRAY_NODE_FAULTS)):
             check_node(event, event.node_id)
             failed.add(event.node_id)  # out of service; recovery is legal
         elif isinstance(event, NodeRecovery):
@@ -386,12 +383,9 @@ def validate_schedule(events: Sequence[ClusterEvent], cluster) -> None:
             known_nodes.add(event.node_id)
         elif isinstance(event, (StragglerStart, StragglerEnd)):
             check_node(event, event.node_id)
-        elif isinstance(event, GRAY_NODE_FAULTS):
-            check_node(event, event.node_id)
-            failed.add(event.node_id)
-        elif isinstance(event, (LinkDegradation, LinkRecovery)):
-            check_link(event, event.src, event.dst)
-        elif isinstance(event, (FlakyLink, FlakyLinkEnd)):
+        elif isinstance(
+            event, (LinkDegradation, LinkRecovery, FlakyLink, FlakyLinkEnd)
+        ):
             check_link(event, event.src, event.dst)
         elif isinstance(event, PartitionHeal):
             groups = (tuple(event.group_a), tuple(event.group_b))

@@ -85,10 +85,6 @@ class HelixMilpPlanner(PlacementPlanner):
         backend: ``"highs"`` (scipy/HiGHS, default) or ``"bnb"`` (our
             branch-and-bound, which records an incumbent trajectory).
         mip_rel_gap: Relative optimality gap at which the solver may stop.
-        hint_cutoff: With the HiGHS backend, additionally inject the best
-            hint's value as an objective cut. This prunes the tree like a
-            MIP start but also makes *finding* an incumbent harder, so it
-            is off by default; the ``bnb`` backend warm-starts natively.
         adaptive_budget: Spend the HiGHS time budget in growing slices and
             stop as soon as a slice fails to improve on the best incumbent
             seen (including the heuristic hint). scipy's ``milp`` cannot
@@ -105,8 +101,6 @@ class HelixMilpPlanner(PlacementPlanner):
         lns_seed: Seed of the LNS window-selection RNG. The search never
             touches global random state, so a planner configuration plus
             this seed reproduces the exact round sequence.
-        bnb_options: Extra keyword arguments forwarded to
-            :class:`BranchAndBoundSolver` (feature switches, stall_time).
     """
 
     name = "helix"
@@ -122,14 +116,12 @@ class HelixMilpPlanner(PlacementPlanner):
         hints: str | list[ModelPlacement] | None = "auto",
         backend: str = "highs",
         mip_rel_gap: float = 1e-4,
-        hint_cutoff: bool = False,
         lns_rounds: int = 0,
         lns_window: int = 8,
         lns_time_limit: float = 20.0,
         adaptive_budget: bool = True,
         lns_mode: str = "incremental",
         lns_seed: int = 0,
-        bnb_options: dict | None = None,
     ) -> None:
         super().__init__(cluster, model, profiler, partial_inference)
         if backend not in ("highs", "bnb"):
@@ -141,14 +133,12 @@ class HelixMilpPlanner(PlacementPlanner):
         self.hints = hints
         self.backend = backend
         self.mip_rel_gap = mip_rel_gap
-        self.hint_cutoff = hint_cutoff
         self.lns_rounds = lns_rounds
         self.lns_window = lns_window
         self.lns_time_limit = lns_time_limit
         self.adaptive_budget = adaptive_budget
         self.lns_mode = lns_mode
         self.lns_seed = lns_seed
-        self.bnb_options = dict(bnb_options or {})
         self.last_trajectory = None  # set by the bnb backend
         self.last_solver_stats = None  # set by the bnb backend
         #: Telemetry: MILP solve calls issued during the last plan().
@@ -862,18 +852,14 @@ class HelixMilpPlanner(PlacementPlanner):
         best_hint: tuple[float, ModelPlacement] | None,
     ) -> MilpSolution:
         if self.backend == "bnb":
-            options = {
-                "stall_time": max(1.0, self.time_limit * 0.25)
-                if self.adaptive_budget
-                else None,
-            }
-            options.update(self.bnb_options)
             solver = BranchAndBoundSolver(
                 formulation.problem,
                 time_limit=self.time_limit,
                 gap_tolerance=self.mip_rel_gap,
                 early_stop_bound=formulation.upper_bound,
-                **options,
+                stall_time=max(1.0, self.time_limit * 0.25)
+                if self.adaptive_budget
+                else None,
             )
             incumbent = None
             if best_hint is not None:
@@ -886,28 +872,14 @@ class HelixMilpPlanner(PlacementPlanner):
             self.last_solver_stats = solver.stats
             return solution
 
-        cutoff = None
-        if self.hint_cutoff and best_hint is not None and best_hint[0] > 0:
-            cutoff = best_hint[0] * (1.0 - 1e-9)
-        if self.adaptive_budget and cutoff is None:
+        if self.adaptive_budget:
             return self._solve_highs_adaptive(formulation, best_hint)
         self.milp_solve_count += 1
-        solution = solve_with_highs(
+        return solve_with_highs(
             formulation.problem,
             time_limit=self.time_limit,
             mip_rel_gap=self.mip_rel_gap,
-            objective_cutoff=cutoff,
         )
-        if solution.status is SolveStatus.INFEASIBLE and cutoff is not None:
-            # Nothing strictly better than the hint exists; fall back to the
-            # hint-free solve, which returns the (optimal) hint-level value.
-            self.milp_solve_count += 1
-            solution = solve_with_highs(
-                formulation.problem,
-                time_limit=self.time_limit,
-                mip_rel_gap=self.mip_rel_gap,
-            )
-        return solution
 
     def _solve_highs_adaptive(
         self,
@@ -1068,14 +1040,12 @@ class HelixMilpPlanner(PlacementPlanner):
             hints=self.hints,
             backend=self.backend,
             mip_rel_gap=self.mip_rel_gap,
-            hint_cutoff=self.hint_cutoff,
             lns_rounds=self.lns_rounds,
             lns_window=self.lns_window,
             lns_time_limit=self.lns_time_limit,
             adaptive_budget=self.adaptive_budget,
             lns_mode=self.lns_mode,
             lns_seed=self.lns_seed,
-            bnb_options=self.bnb_options,
         )
         base = inner.plan()
         flow = base.flow

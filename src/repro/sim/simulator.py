@@ -73,6 +73,16 @@ fail and restore nodes, degrade links, and hot-swap a replanned placement
 mid-run. Request attempts are versioned so work belonging to a disrupted
 attempt — in-flight activations, queued batches, pending completions — is
 dropped cleanly when the request re-enters the pending queue.
+
+Node lifecycle: a node is *up*, *zombie* (accepts work, never finishes
+it; ``make_zombie``), *silent* (crashed unannounced;
+``fail_node(announce=False)``) or *down* (an announced ``fail_node``,
+``confirm_node_failure``, or a finished drain); ``restore_node`` brings
+it back up, confirming a gray fault first. *Draining* (``drain_node``) is
+a separate mark that survives the node turning zombie or silent and ends
+when its last in-flight attempt finishes (a :class:`DrainRecord`) or a
+crash or confirmation supersedes it (no record). The scheduler keeps
+routing to zombie and silent nodes until a confirmation masks them.
 """
 
 from __future__ import annotations
@@ -114,6 +124,12 @@ K_ENV = 4      #: an environment callback (online dynamics)
 #: Minimum same-channel single-token run length worth the numpy setup cost
 #: in the batch-forwarding loop.
 _VEC_MIN = 16
+
+#: Node health values (see "Node lifecycle" in the module docstring).
+UP = "up"
+ZOMBIE = "zombie"
+SILENT = "silent"
+DOWN = "down"
 
 
 class _Hop:
@@ -222,6 +238,23 @@ class _ActiveRequest:
             return prompt
         q, r = divmod(decode_done, depth)
         return prompt + q + (1 if stage_index < r else 0)
+
+
+@dataclass(slots=True)
+class _NodeLife:
+    """One node's health, drain mark, and fault bookkeeping.
+
+    ``fault_time`` is the ground-truth gray-fault onset (MTTD and
+    false-positive accounting), kept until restore. ``dead_mark`` is the
+    token counter at confirmation, which a dead node must never move.
+    """
+
+    health: str = UP
+    draining: bool = False
+    fault_time: float | None = None
+    dead_mark: float | None = None
+    drain_started: float = 0.0
+    drain_waiter: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -354,21 +387,10 @@ class Simulation:
         self._pipeline_depths: list[int] = []
         self._last_token_time = 0.0
         self._timeline = TokenTimeline(timeline_resolution)
-        self._down_nodes: set[str] = set()
-        # Gray-failure state. Silently-down nodes have physically died but
-        # nothing in the control plane knows yet (the scheduler keeps
-        # routing to them); zombies accept work and never finish it. Both
-        # leave this limbo only through confirm_node_failure (a detector
-        # confirmed them) or restore_node (the environment healed them).
-        self._silent_down: set[str] = set()
-        self._zombie_nodes: set[str] = set()
-        #: Ground-truth fault onset times (for MTTD and false-positive
-        #: accounting); entries removed on restore.
-        self._fault_times: dict[str, float] = {}
-        #: Token-counter snapshot per confirmed-dead node: after
-        #: confirmation the node must never emit another token (the chaos
-        #: invariants assert the counter stays at the snapshot).
-        self._confirmed_dead_marks: dict[str, float] = {}
+        # Node lifecycle records (created up on first use), and how many
+        # are draining: finishing attempts check drains only when one is.
+        self._lives: dict[str, _NodeLife] = {}
+        self._n_draining = 0
         self._dead_node_breaches: list[str] = []
         self._requests_shed = 0
         self._requests_lost = 0
@@ -377,7 +399,7 @@ class Simulation:
         self._backoff_waiting = 0
         self._base_bandwidth: dict[tuple[str, str], float] = {}
         for node_id in cluster.down_node_ids:
-            self._down_nodes.add(node_id)
+            self._life(node_id).health = DOWN
             self.scheduler.mark_node_down(node_id)
 
         # Layer residency (None on the default path: zero extra work, the
@@ -401,11 +423,6 @@ class Simulation:
                 scheduler.admission_limit = admission.max_pending
         else:
             self._tenancy = None
-        # Graceful drain: nodes finishing their in-flight work before
-        # leaving service (independent of residency; always available).
-        self._draining: set[str] = set()
-        self._drain_started: dict[str, float] = {}
-        self._drain_waiters: dict[str, Callable] = {}
         #: Every completed drain, in completion order.
         self.drain_log: list[DrainRecord] = []
 
@@ -476,7 +493,9 @@ class Simulation:
         failures, recoveries, link degradations, replan applications —
         into the event loop.
         """
-        if when < self._now - 1e-9:
+        if not when >= self._now - 1e-9:  # also false for NaN
+            if math.isnan(when):
+                raise SimulationError("schedule_event: when must not be NaN")
             raise SimulationError(
                 f"event 'env' scheduled in the past ({when} < {self._now})"
             )
@@ -619,12 +638,7 @@ class Simulation:
             request=request, pipeline=pipeline, record=record, attempt=attempt
         )
         self._build_hops(active)
-        self._active[request.request_id] = active
-        if self._tenancy is not None:
-            self._tenancy.note_dispatch(
-                active.sched_id, request.tenant_id, self._now
-            )
-        self._start_prompt(active)
+        self._dispatch(active)
         policy = self._policy
         if policy is not None:
             if policy.ttft_timeout is not None:
@@ -711,8 +725,14 @@ class Simulation:
                 return
             self._pending.popleft()
 
-    def _start_prompt(self, active: _ActiveRequest) -> None:
-        """Ship the prompt to the first stage (one single-entry group)."""
+    def _dispatch(self, active: _ActiveRequest) -> None:
+        """Register an attempt and ship its prompt to the first stage (one
+        single-entry group)."""
+        self._active[active.sched_id] = active
+        if self._tenancy is not None:
+            self._tenancy.note_dispatch(
+                active.sched_id, active.request.tenant_id, self._now
+            )
         num_bytes = active.request.input_len * self._token_bytes
         arrival = active.entry_channel.transmit(self._now, num_bytes)
         if self._gray:
@@ -1865,14 +1885,19 @@ class Simulation:
         self._pipeline_depths.append(active.pipeline.depth)
         for index, hop in enumerate(active.hops):
             hop.pool.free(active.kv_allocated(index))
+        self._retire(active, self.scheduler.notify_finished)
+        self._retry_pending()
+
+    def _retire(self, active: _ActiveRequest, notify: Callable) -> None:
+        """Take a (finished or cancelled) attempt out of service; a drain
+        waiting on it may finalize."""
         active.live = False
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
-        self.scheduler.notify_finished(active.sched_id)
-        if self._draining:
+        notify(active.sched_id)
+        if self._n_draining:
             self._check_drains()
-        self._retry_pending()
 
     # ------------------------------------------------------------------
     # Online dynamics: failures, repairs, and live replanning
@@ -1885,20 +1910,11 @@ class Simulation:
         the scheduler forgets the attempt. Unlike :meth:`_requeue` the
         request does not re-enter the pending queue.
         """
-        down = self._down_nodes
-        silent = self._silent_down
         for index, hop in enumerate(active.hops):
-            node_id = hop.node_id
-            if node_id not in down and node_id not in silent:
+            if self._life(hop.node_id).health not in (SILENT, DOWN):
                 hop.pool.free(active.kv_allocated(index))
-        active.live = False
         self._disrupted = True
-        del self._active[active.sched_id]
-        if self._tenancy is not None:
-            self._tenancy.note_release(active.sched_id, self._now)
-        self.scheduler.notify_failed(active.sched_id)
-        if self._draining:
-            self._check_drains()
+        self._retire(active, self.scheduler.notify_failed)
 
     def _ttft_check(self, active: _ActiveRequest) -> None:
         """Re-dispatch an attempt that produced no token within the TTFT bound."""
@@ -1962,12 +1978,7 @@ class Simulation:
             return
         hedge.hedge = active
         active.hedge = hedge
-        self._active[hedge_id] = hedge
-        if self._tenancy is not None:
-            self._tenancy.note_dispatch(
-                hedge_id, active.request.tenant_id, self._now
-            )
-        self._start_prompt(hedge)
+        self._dispatch(hedge)
 
     def _requeue(self, active: _ActiveRequest, migrated: bool) -> None:
         """Abort an attempt and send the request back to the pending queue.
@@ -2002,20 +2013,7 @@ class Simulation:
         record.token_times = []
         record.first_token_time = math.nan
         record.schedule_time = math.nan
-        down = self._down_nodes
-        silent = self._silent_down
-        for index, hop in enumerate(active.hops):
-            node_id = hop.node_id
-            if node_id not in down and node_id not in silent:
-                hop.pool.free(active.kv_allocated(index))
-        active.live = False
-        self._disrupted = True
-        del self._active[active.sched_id]
-        if self._tenancy is not None:
-            self._tenancy.note_release(active.sched_id, self._now)
-        self.scheduler.notify_failed(active.sched_id)
-        if self._draining:
-            self._check_drains()
+        self._cancel_attempt(active)
         policy = self._policy
         if policy is None:
             self._pending.append(active.request)
@@ -2060,53 +2058,41 @@ class Simulation:
 
         Returns the ids of the requeued requests (empty when silent).
         """
-        self.cluster.node(node_id)  # referential check
-        if node_id in self._down_nodes:
+        life = self._life(node_id)
+        if life.health == DOWN:
             return []
-        executor = self.executors.get(node_id)
-        pool = self.kv_pools.get(node_id)
-        if not announce:
-            if node_id in self._silent_down:
-                return []
-            self._zombie_nodes.discard(node_id)
-            self._silent_down.add(node_id)
-            self._fault_times.setdefault(node_id, self._now)
-            if self._residency is not None:
-                # The crash wipes VRAM; the control plane learns when the
-                # failure is confirmed, but the physics happens now.
-                self._residency.flush(node_id)
-            if executor is not None:
-                executor.epoch += 1
-                executor.queue.clear()
-                executor.queue_tokens = 0
-                executor.queue_tl = 0
-                # A permanently-busy executor is a blackhole: arrivals
-                # enqueue forever and no batch of the new epoch ever runs.
-                executor.busy = True
-            if pool is not None:
-                pool.used_tokens = 0  # KV state is gone
+        if announce:
+            # Nothing is left for a detector to find: not a gray fault.
+            life.fault_time = None
+            return self._take_down(node_id, life)
+        if life.health == SILENT:
             return []
-        self._silent_down.discard(node_id)
-        self._zombie_nodes.discard(node_id)
-        self._fault_times.pop(node_id, None)
-        self._abort_drain(node_id)
+        life.health = SILENT
+        if life.fault_time is None:
+            life.fault_time = self._now
+        if self._residency is not None:
+            # The crash wipes VRAM; the control plane learns when the
+            # failure is confirmed, but the physics happens now.
+            self._residency.flush(node_id)
+        # A permanently-busy executor is a blackhole: arrivals enqueue
+        # forever and no batch of the new epoch ever runs.
+        self._quiesce(node_id, busy=True)
+        self._flush_kv(node_id)
+        return []
+
+    def _take_down(self, node_id: str, life: _NodeLife) -> list[str]:
+        """The control-plane half of a crash, announced or confirmed:
+        returns the ids requeued (in ``_active`` order)."""
+        life.health = DOWN
+        self._end_drain(life)
         if self._residency is not None:
             self._residency.flush(node_id)
             self.scheduler.mark_node_warm(node_id)
         self.cluster.set_node_available(node_id, False)
-        self._down_nodes.add(node_id)
         self._disrupted = True
         self.scheduler.mark_node_down(node_id)
-
-        if executor is not None:
-            executor.epoch += 1
-            executor.queue.clear()
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-            executor.busy = False
-        if pool is not None:
-            pool.used_tokens = 0  # KV state is gone
-
+        self._quiesce(node_id)
+        self._flush_kv(node_id)
         requeued = [
             rid
             for rid, active in self._active.items()
@@ -2118,6 +2104,25 @@ class Simulation:
                 self._requeue(active, migrated=False)
         self._retry_pending()
         return requeued
+
+    def _quiesce(self, node_id: str, busy: bool = False) -> None:
+        """Drop a node's queued stage work and stale its in-flight batch."""
+        executor = self.executors.get(node_id)
+        if executor is not None:
+            executor.epoch += 1
+            executor.queue.clear()
+            executor.queue_tokens = 0
+            executor.queue_tl = 0
+            executor.busy = busy
+
+    def _flush_kv(self, node_id: str) -> int:
+        """Zero a node's KV pool; returns the tokens it still held."""
+        pool = self.kv_pools.get(node_id)
+        if pool is None:
+            return 0
+        held = pool.used_tokens
+        pool.used_tokens = 0
+        return held
 
     def confirm_node_failure(self, node_id: str) -> float:
         """A detector confirms a silently-failed/zombie (or healthy) node dead.
@@ -2133,44 +2138,15 @@ class Simulation:
         node takes it down all the same, which is exactly the cost a
         trigger-happy detector pays.
         """
-        self.cluster.node(node_id)
-        if node_id in self._down_nodes:
+        life = self._life(node_id)
+        if life.health == DOWN:
             return math.nan
-        fault_time = self._fault_times.get(node_id)
-        self._silent_down.discard(node_id)
-        self._zombie_nodes.discard(node_id)
-        self._abort_drain(node_id)
-        if self._residency is not None:
-            self._residency.flush(node_id)
-            self.scheduler.mark_node_warm(node_id)
-        self.cluster.set_node_available(node_id, False)
-        self._down_nodes.add(node_id)
-        self._disrupted = True
-        self.scheduler.mark_node_down(node_id)
         executor = self.executors.get(node_id)
         if executor is not None:
-            executor.epoch += 1
-            executor.queue.clear()
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-            executor.busy = False
-            self._confirmed_dead_marks[node_id] = executor.stats.tokens
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            pool.used_tokens = 0
-        requeued = [
-            rid
-            for rid, active in self._active.items()
-            if node_id in active.pipeline.node_ids
-        ]
-        for rid in requeued:
-            active = self._active.get(rid)
-            if active is not None:
-                self._requeue(active, migrated=False)
-        self._retry_pending()
-        if fault_time is None:
-            return math.nan
-        return self._now - fault_time
+            life.dead_mark = executor.stats.tokens
+        onset = life.fault_time
+        self._take_down(node_id, life)
+        return math.nan if onset is None else self._now - onset
 
     def make_zombie(self, node_id: str) -> None:
         """A node wedges: it accepts work (and heartbeats) but never finishes.
@@ -2181,15 +2157,11 @@ class Simulation:
         detectors never notice; a progress watchdog or the stalled
         requests' TTFT timeouts do.
         """
-        self.cluster.node(node_id)
-        if (
-            node_id in self._down_nodes
-            or node_id in self._silent_down
-            or node_id in self._zombie_nodes
-        ):
+        life = self._life(node_id)
+        if life.health != UP:
             return
-        self._zombie_nodes.add(node_id)
-        self._fault_times.setdefault(node_id, self._now)
+        life.health = ZOMBIE
+        life.fault_time = self._now
         executor = self.executors.get(node_id)
         if executor is not None:
             executor.epoch += 1  # the running batch never completes
@@ -2203,9 +2175,9 @@ class Simulation:
         tables of live attempts re-cache the node's decode time so future
         iterations (including fast-forwarded ones) price correctly.
         """
-        if factor <= 0:
+        if not 0 < factor < math.inf:
             raise SimulationError(
-                f"slowdown factor must be positive, got {factor}"
+                f"slowdown factor must be positive and finite, got {factor}"
             )
         self.cluster.node(node_id)
         executor = self.executors.get(node_id)
@@ -2241,10 +2213,7 @@ class Simulation:
         from repro.online.faults import LinkFault
 
         self.cluster.link(src, dst)  # referential check
-        keys = [(src, dst)]
-        if bidirectional and self.cluster.has_link(dst, src):
-            keys.append((dst, src))
-        for key in keys:
+        for key in self._link_keys(src, dst, bidirectional):
             channel = self.channels.get(key)
             if channel is None:
                 raise SimulationError(
@@ -2270,10 +2239,7 @@ class Simulation:
         again. A differential test asserts post-heal timelines are
         unchanged against a per-hop run.
         """
-        keys = [(src, dst)]
-        if bidirectional:
-            keys.append((dst, src))
-        for key in keys:
+        for key in self._link_keys(src, dst, bidirectional):
             channel = self.channels.get(key)
             if channel is not None:
                 channel.fault = None
@@ -2284,26 +2250,21 @@ class Simulation:
 
     def restore_node(self, node_id: str) -> None:
         """A failed node rejoins (cold: empty KV, empty queue)."""
-        self.cluster.node(node_id)
-        if node_id in self._silent_down or node_id in self._zombie_nodes:
+        life = self._life(node_id)
+        if life.health in (SILENT, ZOMBIE):
             # The environment healed an undetected fault. Surface it as a
             # confirmation first — stalled requests requeue, state resets —
             # then fall through to the normal rejoin.
             self.confirm_node_failure(node_id)
-        if node_id not in self._down_nodes:
+        if life.health != DOWN:
             return
-        self._fault_times.pop(node_id, None)
-        mark = self._confirmed_dead_marks.pop(node_id, None)
-        if mark is not None:
-            executor = self.executors.get(node_id)
-            if executor is not None and executor.stats.tokens != mark:
-                self._dead_node_breaches.append(node_id)
+        if self._emitted_since(node_id, life.dead_mark):
+            self._dead_node_breaches.append(node_id)
+        life.fault_time = life.dead_mark = None
         self.cluster.set_node_available(node_id, True)
-        self._down_nodes.discard(node_id)
+        life.health = UP
         self.scheduler.mark_node_up(node_id)
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            pool.used_tokens = 0
+        self._flush_kv(node_id)
         if self._residency is not None and self.placement.holds_layers(node_id):
             # Recovery is not free: the node must pull its assigned layers
             # before it can serve (no-op if they are still resident — a
@@ -2333,57 +2294,47 @@ class Simulation:
         Draining a silently-dead or zombie node cannot be graceful — it is
         surfaced as a failure confirmation instead.
         """
-        self.cluster.node(node_id)
-        if node_id in self._down_nodes or node_id in self._draining:
+        life = self._life(node_id)
+        if life.health == DOWN or life.draining:
             return
-        if node_id in self._silent_down or node_id in self._zombie_nodes:
+        if life.health != UP:
             self.confirm_node_failure(node_id)
             return
-        self._draining.add(node_id)
-        self._drain_started[node_id] = self._now
-        if on_complete is not None:
-            self._drain_waiters[node_id] = on_complete
+        life.draining = True
+        self._n_draining += 1
+        life.drain_started = self._now
+        life.drain_waiter = on_complete
         self.scheduler.mark_node_down(node_id)
         self.cluster.set_node_available(node_id, False)
         self._check_drains()
 
     def _check_drains(self) -> None:
-        """Finalize every draining node with no remaining in-flight work."""
-        for node_id in sorted(self._draining):
-            for active in self._active.values():
-                if node_id in active.pipeline.node_ids:
-                    break
-            else:
-                self._finalize_drain(node_id)
+        """Finalize every draining node with no remaining in-flight work:
+        it goes down and quiesces, and its DrainRecord is logged."""
+        lives = self._lives
+        for node_id in sorted(n for n, life in lives.items() if life.draining):
+            life = lives[node_id]
+            if not life.draining or any(  # an earlier waiter crashed it
+                node_id in active.pipeline.node_ids
+                for active in self._active.values()
+            ):
+                continue
+            started, waiter = life.drain_started, life.drain_waiter
+            self._end_drain(life)
+            life.health = DOWN
+            self._quiesce(node_id)
+            kv_leaked = self._flush_kv(node_id)
+            self.drain_log.append(
+                DrainRecord(node_id, started, self._now, kv_leaked)
+            )
+            if waiter is not None:
+                waiter(self)
 
-    def _finalize_drain(self, node_id: str) -> None:
-        started = self._drain_started.pop(node_id, self._now)
-        waiter = self._drain_waiters.pop(node_id, None)
-        self._draining.discard(node_id)
-        self._down_nodes.add(node_id)
-        executor = self.executors.get(node_id)
-        if executor is not None:
-            executor.epoch += 1
-            executor.queue.clear()
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-            executor.busy = False
-        kv_leaked = 0
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            kv_leaked = pool.used_tokens
-            pool.used_tokens = 0
-        self.drain_log.append(
-            DrainRecord(node_id, started, self._now, kv_leaked)
-        )
-        if waiter is not None:
-            waiter(self)
-
-    def _abort_drain(self, node_id: str) -> None:
-        """A crash supersedes an in-progress drain (no DrainRecord)."""
-        self._draining.discard(node_id)
-        self._drain_started.pop(node_id, None)
-        self._drain_waiters.pop(node_id, None)
+    def _end_drain(self, life: _NodeLife) -> None:
+        """Clear the drain mark (a crash superseding it logs no record)."""
+        if life.draining:
+            life.draining = False
+            self._n_draining -= 1
 
     # ------------------------------------------------------------------
     # Layer residency: warm-up pulls and eviction
@@ -2444,14 +2395,7 @@ class Simulation:
         coordinator (which stands in for the persistent weight store)."""
         res = self._residency
         for src in sorted(res.resident):
-            if src == node_id:
-                continue
-            if (
-                src in self._down_nodes
-                or src in self._silent_down
-                or src in self._zombie_nodes
-                or src in self._draining
-            ):
+            if src == node_id or not self.can_serve(src):
                 continue
             if layer in res.resident[src]:
                 channel = self.channels.get((src, node_id))
@@ -2470,7 +2414,7 @@ class Simulation:
         res = self._residency
         if res is None or not res.still_valid(node_id, token):
             return  # superseded by a newer pull, a crash, or a replan
-        if node_id in self._down_nodes or node_id in self._silent_down:
+        if self.node_health(node_id) in (SILENT, DOWN):
             return
         res.complete(node_id, self._now)
         self.scheduler.mark_node_warm(node_id)
@@ -2490,14 +2434,8 @@ class Simulation:
                 res.cancel(node_id)
                 self.scheduler.mark_node_warm(node_id)
         for node_id in placement.used_nodes:
-            if (
-                node_id in self._down_nodes
-                or node_id in self._silent_down
-                or node_id in self._zombie_nodes
-                or node_id in self._draining
-            ):
-                continue
-            self._warm_node(node_id)
+            if self.can_serve(node_id):
+                self._warm_node(node_id)
 
     def degrade_link(
         self, src: str, dst: str, factor: float, bidirectional: bool = True
@@ -2513,16 +2451,13 @@ class Simulation:
         the reverse direction is degraded too when it exists (links may be
         asymmetric).
         """
-        if factor <= 0:
+        if not 0 < factor < math.inf:
             raise SimulationError(
-                f"degradation factor must be positive, got {factor} "
-                "(sever connectivity by failing nodes instead)"
+                "degradation factor must be positive and finite, got "
+                f"{factor} (sever connectivity by failing nodes instead)"
             )
         self.cluster.link(src, dst)  # referential check before mutating
-        keys = [(src, dst)]
-        if bidirectional and self.cluster.has_link(dst, src):
-            keys.append((dst, src))
-        for key in keys:
+        for key in self._link_keys(src, dst, bidirectional):
             base = self._base_bandwidth.setdefault(
                 key, self.cluster.link(*key).bandwidth
             )
@@ -2535,10 +2470,7 @@ class Simulation:
         self, src: str, dst: str, bidirectional: bool = True
     ) -> None:
         """Restore a degraded link to its original bandwidth."""
-        keys = [(src, dst)]
-        if bidirectional:
-            keys.append((dst, src))
-        for key in keys:
+        for key in self._link_keys(src, dst, bidirectional):
             base = self._base_bandwidth.pop(key, None)
             if base is None:
                 continue
@@ -2546,6 +2478,14 @@ class Simulation:
             channel = self.channels.get(key)
             if channel is not None:
                 channel.set_link(link)
+
+    def _link_keys(
+        self, src: str, dst: str, bidirectional: bool
+    ) -> list[tuple[str, str]]:
+        """``(src, dst)``, plus the reverse direction if asked and present."""
+        if bidirectional and self.cluster.has_link(dst, src):
+            return [(src, dst), (dst, src)]
+        return [(src, dst)]
 
     def _attempt_survives(
         self, pipeline: RequestPipeline, placement, rebound: set[str]
@@ -2561,11 +2501,11 @@ class Simulation:
         are exempt from every check: the whole point of a graceful drain
         is that in-flight pipelines through the node run to completion.
         """
-        draining = self._draining
         for stage in pipeline.stages:
-            if stage.node_id in draining:
+            life = self._life(stage.node_id)
+            if life.draining:
                 continue
-            if stage.node_id in self._down_nodes:
+            if life.health == DOWN:
                 return False
             if stage.node_id in rebound:
                 return False
@@ -2629,18 +2569,12 @@ class Simulation:
         for node_id in old_placement.used_nodes:
             if placement.holds_layers(node_id):
                 continue
-            if node_id in self._draining:
+            if self._life(node_id).draining:
                 # A draining node quiesces when its last in-flight attempt
-                # finishes (_finalize_drain), not here — a hard quiesce now
+                # finishes (_check_drains), not here — a hard quiesce now
                 # would drop the very batches the drain promised to finish.
                 continue
-            executor = self.executors.get(node_id)
-            if executor is not None:
-                executor.epoch += 1
-                executor.queue.clear()
-                executor.queue_tokens = 0
-                executor.queue_tl = 0
-                executor.busy = False
+            self._quiesce(node_id)
         # A joined node brings new links; give them channels.
         for key, link in self.cluster.links.items():
             if key not in self.channels:
@@ -2660,20 +2594,43 @@ class Simulation:
         """Current simulation time."""
         return self._now
 
+    def _life(self, node_id: str) -> _NodeLife:
+        """The node's lifecycle record, created (up) on first use; raises
+        for a node the cluster does not know."""
+        life = self._lives.get(node_id)
+        if life is None:
+            self.cluster.node(node_id)  # referential check
+            life = self._lives[node_id] = _NodeLife()
+        return life
+
+    def node_health(self, node_id: str) -> str:
+        """The node's health: :data:`UP`, :data:`ZOMBIE`, :data:`SILENT`
+        or :data:`DOWN` (draining is separate; see :meth:`can_serve`)."""
+        return self._life(node_id).health
+
+    def can_serve(self, node_id: str) -> bool:
+        """Whether the node is up and not draining: it can take new work
+        and lend its resident weights to a warming peer."""
+        life = self._life(node_id)
+        return life.health == UP and not life.draining
+
+    def _nodes_with(self, health: str) -> set[str]:
+        return {n for n, life in self._lives.items() if life.health == health}
+
     @property
     def down_nodes(self) -> set[str]:
         """Nodes currently failed."""
-        return set(self._down_nodes)
+        return self._nodes_with(DOWN)
 
     @property
     def silent_down_nodes(self) -> set[str]:
         """Nodes physically dead but not yet confirmed by any detector."""
-        return set(self._silent_down)
+        return self._nodes_with(SILENT)
 
     @property
     def draining_nodes(self) -> set[str]:
         """Nodes finishing in-flight work before leaving service."""
-        return set(self._draining)
+        return {n for n, life in self._lives.items() if life.draining}
 
     @property
     def residency(self):
@@ -2690,12 +2647,16 @@ class Simulation:
     @property
     def zombie_nodes(self) -> set[str]:
         """Nodes accepting work (and heartbeating) without making progress."""
-        return set(self._zombie_nodes)
+        return self._nodes_with(ZOMBIE)
 
     @property
     def fault_times(self) -> dict[str, float]:
         """Ground-truth onset time of every un-restored gray fault."""
-        return dict(self._fault_times)
+        return {
+            n: life.fault_time
+            for n, life in self._lives.items()
+            if life.fault_time is not None
+        }
 
     @property
     def requests_shed(self) -> int:
@@ -2717,12 +2678,16 @@ class Simulation:
 
     def dead_node_token_violations(self) -> list[str]:
         """Confirmed-dead nodes whose token counter moved afterwards."""
-        bad = list(self._dead_node_breaches)
-        for node_id, mark in self._confirmed_dead_marks.items():
-            executor = self.executors.get(node_id)
-            if executor is not None and executor.stats.tokens != mark:
-                bad.append(node_id)
-        return bad
+        return self._dead_node_breaches + [
+            node_id
+            for node_id, life in self._lives.items()
+            if self._emitted_since(node_id, life.dead_mark)
+        ]
+
+    def _emitted_since(self, node_id: str, mark: float | None) -> bool:
+        """Whether the node's token counter moved off a dead mark."""
+        executor = self.executors.get(node_id)
+        return None not in (mark, executor) and executor.stats.tokens != mark
 
     @property
     def pending_requests(self) -> int:

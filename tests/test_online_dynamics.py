@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.online import (
@@ -153,13 +154,14 @@ class TestPendingQueueUnderMasking:
         assert scheduler.schedule("probe", 16) is None
 
         requests = [Request(f"r{i}", 16, 3, arrival_time=0.0) for i in range(5)]
+        # The simulation starts with the cluster's unavailable nodes down.
+        small_cluster.set_node_available("a100-0", False)
+        small_cluster.set_node_available("t4-1", False)
         sim = Simulation(
             small_cluster, tiny_model, placement8, scheduler, requests,
             max_time=60.0,
         )
-        sim._down_nodes.update({"a100-0", "t4-1"})
-        sim.cluster.set_node_available("a100-0", False)
-        sim.cluster.set_node_available("t4-1", False)
+        assert sim.down_nodes == {"a100-0", "t4-1"}
         sim.schedule_event(1.0, lambda s: s.restore_node("a100-0"))
         metrics = sim.run()
         assert metrics.requests_finished == 5
@@ -167,6 +169,293 @@ class TestPendingQueueUnderMasking:
         assert all(
             sim.record_of(f"r{i}").schedule_time >= 1.0 for i in range(5)
         )
+
+
+class TestNodeLifecycle:
+    """Every (state, call) pair of a node's lifecycle.
+
+    Health is one of up, zombie, silent-down and down; draining is a
+    separate mark that a gray fault does not clear. The traffic in
+    ``busy_sim`` keeps attempts routed through ``a100-0`` at t=0.03, so
+    a drain started then cannot finalize at once.
+    """
+
+    @staticmethod
+    def busy_sim(cluster, model, placement):
+        requests = [Request(f"r{i}", 64, 12) for i in range(20)]
+        return make_simulation(
+            cluster, model, placement, requests, max_time=60.0, seed=0
+        )
+
+    @staticmethod
+    def go_gray(sim, node_id, fault):
+        if fault == "zombie":
+            sim.make_zombie(node_id)
+        else:
+            sim.fail_node(node_id, announce=False)
+
+    @staticmethod
+    def snapshot(sim):
+        return {
+            "down": sim.down_nodes,
+            "silent": sim.silent_down_nodes,
+            "zombie": sim.zombie_nodes,
+            "draining": sim.draining_nodes,
+            "fault_times": sim.fault_times,
+        }
+
+    @pytest.mark.parametrize("fault", ["zombie", "silent"])
+    def test_draining_a_gray_node_confirms_it(
+        self, small_cluster, tiny_model, placement8, fault
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+
+        def act(s):
+            self.go_gray(s, "a100-0", fault)
+            s.drain_node("a100-0")
+            seen.update(self.snapshot(s))
+
+        sim.schedule_event(0.03, act)
+        metrics = sim.run()
+        assert seen == {
+            "down": {"a100-0"}, "silent": set(), "zombie": set(),
+            "draining": set(), "fault_times": {"a100-0": 0.03},
+        }
+        assert sim.drain_log == []
+        assert sim.dead_node_token_violations() == []
+        assert metrics.requests_finished == 20
+
+    @pytest.mark.parametrize("fault", ["zombie", "silent"])
+    def test_draining_node_that_turns_gray_stays_draining(
+        self, small_cluster, tiny_model, placement8, fault
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+
+        def act(s):
+            s.drain_node("a100-0")
+            seen["drain_pending"] = s.draining_nodes
+            self.go_gray(s, "a100-0", fault)
+            seen["gray"] = self.snapshot(s)
+
+        def confirm(s):
+            seen["latency"] = s.confirm_node_failure("a100-0")
+            seen["confirmed"] = self.snapshot(s)
+
+        sim.schedule_event(0.03, act)
+        sim.schedule_event(0.5, confirm)
+        metrics = sim.run()
+        assert seen["drain_pending"] == {"a100-0"}
+        gray = {"a100-0"}
+        assert seen["gray"] == {
+            "down": set(),
+            "silent": gray if fault == "silent" else set(),
+            "zombie": gray if fault == "zombie" else set(),
+            "draining": {"a100-0"},
+            "fault_times": {"a100-0": 0.03},
+        }
+        assert seen["latency"] == pytest.approx(0.47)
+        assert seen["confirmed"] == {
+            "down": {"a100-0"}, "silent": set(), "zombie": set(),
+            "draining": set(), "fault_times": {"a100-0": 0.03},
+        }
+        assert sim.drain_log == []
+        assert metrics.requests_finished == 20
+
+    def test_drain_finalizes_when_its_last_attempt_finishes(
+        self, small_cluster, tiny_model, placement8
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+
+        def drain(s):
+            s.drain_node("a100-0")
+            seen.update(self.snapshot(s))
+
+        sim.schedule_event(0.03, drain)
+        metrics = sim.run()
+        assert seen == {
+            "down": set(), "silent": set(), "zombie": set(),
+            "draining": {"a100-0"}, "fault_times": {},
+        }
+        (record,) = sim.drain_log
+        assert record.node_id == "a100-0"
+        assert record.completed > record.started == 0.03
+        assert record.kv_leaked == 0
+        assert sim.down_nodes == {"a100-0"}
+        assert sim.draining_nodes == set()
+        assert metrics.requests_finished == 20
+        assert metrics.requests_retried == 0
+
+    @pytest.mark.parametrize("crash", ["fail", "confirm"])
+    def test_crash_during_drain_writes_no_drain_record(
+        self, small_cluster, tiny_model, placement8, crash
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+        sim.schedule_event(0.03, lambda s: s.drain_node("a100-0"))
+
+        def kill(s):
+            seen["draining"] = s.draining_nodes
+            if crash == "fail":
+                seen["requeued"] = s.fail_node("a100-0")
+            else:
+                seen["latency"] = s.confirm_node_failure("a100-0")
+
+        sim.schedule_event(0.04, kill)
+        metrics = sim.run()
+        assert seen["draining"] == {"a100-0"}
+        if crash == "fail":
+            assert seen["requeued"]
+        else:
+            assert math.isnan(seen["latency"])  # it was healthy
+        assert sim.drain_log == []
+        assert sim.down_nodes == {"a100-0"}
+        assert sim.draining_nodes == set()
+        assert metrics.requests_finished == 20
+
+    def test_confirming_a_healthy_node_returns_nan_and_takes_it_down(
+        self, small_cluster, tiny_model, placement8
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        assert math.isnan(sim.confirm_node_failure("t4-0"))
+        assert sim.down_nodes == {"t4-0"}
+        assert sim.fault_times == {}
+        assert "t4-0" in sim.scheduler.down_nodes
+        assert "t4-0" in small_cluster.down_node_ids
+        assert math.isnan(sim.confirm_node_failure("t4-0"))  # already down
+        assert sim.run().requests_finished == 20
+        assert sim.dead_node_token_violations() == []
+
+    def test_fault_times_keep_a_confirmed_node_until_restore(
+        self, small_cluster, tiny_model, placement8
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+        sim.schedule_event(0.03, lambda s: s.make_zombie("a100-0"))
+        sim.schedule_event(
+            0.5, lambda s: seen.update(
+                latency=s.confirm_node_failure("a100-0"),
+                confirmed=s.fault_times,
+            )
+        )
+        sim.schedule_event(
+            1.0, lambda s: (
+                s.restore_node("a100-0"),
+                seen.update(restored=s.fault_times, down=s.down_nodes),
+            )
+        )
+        metrics = sim.run()
+        assert seen["latency"] == pytest.approx(0.47)
+        assert seen["confirmed"] == {"a100-0": 0.03}
+        assert seen["restored"] == {}
+        assert seen["down"] == set()
+        assert metrics.requests_finished == 20
+
+    def test_announced_crash_of_a_silent_node_drops_its_fault_time(
+        self, small_cluster, tiny_model, placement8
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+        sim.schedule_event(
+            0.03, lambda s: s.fail_node("a100-0", announce=False)
+        )
+        sim.schedule_event(
+            0.5, lambda s: seen.update(
+                requeued=s.fail_node("a100-0"), state=self.snapshot(s)
+            )
+        )
+        metrics = sim.run()
+        assert seen["requeued"]  # the stalled attempts
+        assert seen["state"] == {
+            "down": {"a100-0"}, "silent": set(), "zombie": set(),
+            "draining": set(), "fault_times": {},
+        }
+        assert metrics.requests_finished == 20
+
+    @pytest.mark.parametrize("fault", ["zombie", "silent"])
+    def test_restore_of_a_gray_node_confirms_then_rejoins(
+        self, small_cluster, tiny_model, placement8, fault
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+        sim.schedule_event(
+            0.03, lambda s: self.go_gray(s, "a100-0", fault)
+        )
+
+        def restore(s):
+            s.restore_node("a100-0")
+            seen.update(self.snapshot(s))
+            seen["masked"] = "a100-0" in s.scheduler.down_nodes
+            seen["available"] = "a100-0" not in s.cluster.down_node_ids
+
+        sim.schedule_event(0.5, restore)
+        metrics = sim.run()
+        assert seen == {
+            "down": set(), "silent": set(), "zombie": set(),
+            "draining": set(), "fault_times": {},
+            "masked": False, "available": True,
+        }
+        # The confirmation requeued the attempts stalled on the node.
+        assert metrics.requests_retried > 0
+        assert metrics.requests_finished == 20
+        assert sim.dead_node_token_violations() == []
+
+    def test_make_zombie_on_a_dead_node_does_nothing(
+        self, small_cluster, tiny_model, placement8
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        sim.fail_node("a100-0")
+        sim.fail_node("t4-0", announce=False)
+        sim.make_zombie("a100-0")
+        sim.make_zombie("t4-0")
+        assert sim.zombie_nodes == set()
+        assert sim.down_nodes == {"a100-0"}
+        assert sim.silent_down_nodes == {"t4-0"}
+        assert sim.fault_times == {"t4-0": 0.0}
+
+    def test_fail_node_returns_requeued_ids_in_active_order(
+        self, small_cluster, tiny_model, placement8
+    ):
+        sim = self.busy_sim(small_cluster, tiny_model, placement8)
+        seen = {}
+
+        def act(s):
+            seen["expected"] = [
+                rid for rid, active in s._active.items()
+                if "a100-0" in active.pipeline.node_ids
+            ]
+            seen["silent"] = s.fail_node("t4-0", announce=False)
+            seen["requeued"] = s.fail_node("a100-0")
+            seen["again"] = s.fail_node("a100-0")
+
+        sim.schedule_event(0.03, act)
+        sim.schedule_event(0.5, lambda s: s.restore_node("t4-0"))
+        sim.schedule_event(0.5, lambda s: s.restore_node("a100-0"))
+        metrics = sim.run()
+        assert seen["expected"]
+        assert seen["requeued"] == seen["expected"]
+        assert seen["silent"] == [] and seen["again"] == []
+        for rid in seen["requeued"]:
+            assert sim.record_of(rid).retries >= 1
+        assert metrics.requests_finished == 20
+
+
+class TestControlInputValidation:
+    @pytest.mark.parametrize("call, argument", [
+        (lambda s: s.schedule_event(math.nan, lambda _: None), "when"),
+        (lambda s: s.degrade_link("a100-0", "l4-0", math.nan), "factor"),
+        (lambda s: s.set_compute_slowdown("a100-0", math.nan), "factor"),
+        (lambda s: s.set_compute_slowdown("a100-0", math.inf), "factor"),
+    ], ids=["event-nan", "degrade-nan", "slowdown-nan", "slowdown-inf"])
+    def test_non_finite_input_is_rejected_by_name(
+        self, small_cluster, tiny_model, placement8, call, argument
+    ):
+        requests = [Request("r0", 16, 2)]
+        sim = make_simulation(small_cluster, tiny_model, placement8, requests)
+        with pytest.raises(SimulationError, match=rf"\b{argument}\b"):
+            call(sim)
 
 
 class TestLinkEvents:
@@ -314,8 +603,6 @@ class TestPlacementHotSwap:
         self, small_cluster, tiny_model, placement8
     ):
         from types import SimpleNamespace
-
-        from repro.core.errors import SimulationError
 
         requests = [Request("r0", 16, 2)]
         sim = make_simulation(small_cluster, tiny_model, placement8, requests)
@@ -1046,7 +1333,6 @@ class TestPhiAccrualPaths:
             def __init__(self):
                 self.now = 0.0
                 self.down_nodes = set()
-                self.silent_down_nodes = set()
                 self.channels = {}
                 self.executors = {}
                 self.fault_times = {}
@@ -1054,6 +1340,9 @@ class TestPhiAccrualPaths:
 
             def schedule_event(self, when, fn):
                 self.scheduled.append((when, fn))
+
+            def node_health(self, node_id):
+                return "up"
 
         from repro.online.detect import _NodeState
 

@@ -10,6 +10,9 @@ The extended many-seed sweep is ``python -m repro.exp run scenario-sweep
 --size full`` (also the scheduled CI job).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.scenarios import SCENARIO_FAMILIES, generate_scenario, scenario_matrix
@@ -18,7 +21,7 @@ from repro.testkit import (
     run_scenario,
     verify_scenario,
 )
-from repro.testkit.harness import ScenarioReport
+from repro.testkit.harness import ScenarioReport, verify_scenario_record
 from repro.testkit.invariants import Violation
 
 #: 6 seeds x 4 families = 24 addresses in tier-1 (acceptance: >= 20
@@ -91,3 +94,41 @@ class TestSweepMachinery:
         with pytest.raises(SystemExit) as excinfo:
             main(["moebius", "0"])
         assert excinfo.value.code == 2
+
+
+#: The committed nightly sweep reports and the per-family telemetry each
+#: row carries next to its fingerprint and counters.
+_SWEEP_REPORTS = {
+    "chaos": ("chaos_sweep.json", "disruption"),
+    "elastic": ("elastic_sweep.json", "elasticity"),
+    "tenant": ("tenant_sweep.json", "tenancy"),
+}
+_RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+@pytest.mark.scenario
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", sorted(_SWEEP_REPORTS))
+def test_committed_sweep_rows_reproduce(family, seed):
+    """Control-plane outcomes match the committed sweep report.
+
+    ``coalescing=False`` shares the node-lifecycle code with the default
+    path, so the fast-path differential cannot see a change there; the
+    committed rows can. Regenerate the reports (``python -m repro.exp run
+    <family>-sweep --seeds 25 --size full --output
+    benchmarks/results/<family>_sweep.json``) only on purpose.
+    """
+    filename, section = _SWEEP_REPORTS[family]
+    report = json.loads((_RESULTS_DIR / filename).read_text())
+    (row,) = [
+        r for r in report["results"]
+        if r.get("family") == family and r.get("seed") == seed
+    ]
+    fresh = verify_scenario_record(
+        family, seed, row["size"], determinism=False, flow_differential=False
+    )
+    # A JSON round trip turns tuples into lists, as in the report.
+    fresh = json.loads(json.dumps(fresh))
+    assert fresh["fingerprint"] == row["fingerprint"], fresh["repro"]
+    assert fresh["counters"] == row["counters"]
+    assert fresh[section] == row[section]
