@@ -23,6 +23,7 @@ reproduces exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -55,9 +56,10 @@ class LinkFault:
             raise ValueError(
                 f"drop probability must be in [0, 1), got {drop_probability}"
             )
-        if retransmit_delay < 0:
+        if not 0 <= retransmit_delay < math.inf:  # also false for NaN
             raise ValueError(
-                f"retransmit delay must be >= 0, got {retransmit_delay}"
+                "retransmit_delay must be finite and >= 0, got "
+                f"{retransmit_delay}"
             )
         self.drop_probability = drop_probability
         self.retransmit_delay = retransmit_delay

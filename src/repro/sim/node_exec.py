@@ -19,6 +19,7 @@ association order, so the two agree bit-for-bit (asserted in tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.cluster.node import ComputeNode
 from repro.cluster.profiler import Profiler
@@ -36,14 +37,13 @@ class StageWork:
             the prompt phase, 1 during decode).
         num_layers: Layers this stage computes for the request.
         is_prompt: Whether this is the prompt-phase iteration.
-        attempt: The owning request's attempt number; work minted by a
-            disrupted attempt is dropped when its batch completes.
         tl: Work contribution in integer token-layer units
             (``num_tokens * num_layers``), precomputed for the simulator's
             batch pricing; 0 when constructed outside the simulator.
-        owner: The simulator's live-request state this work belongs to
+        owner: The simulator's request-attempt state this work belongs to
             (``None`` outside the simulator). Lets the hot loop reach the
-            request without a dict lookup.
+            request without a dict lookup; work whose owner is no longer
+            live (a disrupted or cancelled attempt) is dropped.
         hop: The simulator's hop-table entry for this (pipeline, stage)
             (``None`` outside the simulator): executor, KV pool, and
             outbound channel resolved once at schedule time.
@@ -61,7 +61,6 @@ class StageWork:
     num_tokens: int
     num_layers: int
     is_prompt: bool
-    attempt: int = 0
     tl: int = field(default=0, compare=False, repr=False)
     owner: object = field(default=None, compare=False, repr=False)
     hop: object = field(default=None, compare=False, repr=False)
@@ -192,40 +191,38 @@ class NodeExecutor:
         """Whether the queue is non-empty."""
         return bool(self.queue)
 
-    def take_batch(self) -> list[StageWork]:
-        """Remove and return the next batch (FIFO, optionally token-capped).
+    def take_batch(self) -> tuple[list[StageWork], int, int]:
+        """Remove the next batch (FIFO, optionally token-capped).
 
-        Always returns at least one item when work is queued, even if that
-        single item exceeds the token cap (a long prompt must still run).
+        Returns ``(batch, tokens, tl)``: the works with their token and
+        token-layer totals. Always takes at least one item when work is
+        queued, even if that single item exceeds the token cap (a long
+        prompt must still run); an empty queue gives ``([], 0, 0)``.
         """
         queue = self.queue
-        if not queue:
-            return []
+        tokens = self.queue_tokens
+        tl = self.queue_tl
         cap = self.max_batch_tokens
-        if cap is None or self.queue_tokens <= cap:
-            self.queue = []
-            self.queue_tokens = 0
-            self.queue_tl = 0
-            return queue
-        cut = 1
-        tokens = queue[0].num_tokens
-        tl = queue[0].tl
-        for item in queue[1:]:
-            if tokens + item.num_tokens > cap:
-                break
-            tokens += item.num_tokens
-            tl += item.tl
-            cut += 1
-        if cut == len(queue):
-            self.queue = []
-            self.queue_tokens = 0
-            self.queue_tl = 0
-            return queue
-        batch = queue[:cut]
-        del queue[:cut]
-        self.queue_tokens -= tokens
-        self.queue_tl -= tl
-        return batch
+        if cap is not None and tokens > cap:
+            tokens = queue[0].num_tokens
+            tl = queue[0].tl
+            cut = 1
+            for item in islice(queue, 1, None):
+                if tokens + item.num_tokens > cap:
+                    break
+                tokens += item.num_tokens
+                tl += item.tl
+                cut += 1
+            if cut < len(queue):
+                batch = queue[:cut]
+                del queue[:cut]
+                self.queue_tokens -= tokens
+                self.queue_tl -= tl
+                return batch, tokens, tl
+        self.queue = []
+        self.queue_tokens = 0
+        self.queue_tl = 0
+        return queue, tokens, tl
 
     def batch_time(self, batch: list[StageWork]) -> float:
         """Wall time to execute ``batch`` on this node."""

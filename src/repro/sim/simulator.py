@@ -65,14 +65,27 @@ Every fast path replays the identical float operations in the identical
 order as per-hop stepping, so ``coalescing=False`` — one heap event per
 hop, none of the fast paths above — is the bit-identical reference the
 differential suite compares against (the scenario matrix, chaos /
-elastic / tenant families included).
+elastic / tenant families included). It is the only switch that changes
+which hot-path code runs; faults, hedging, tenancy and progress-observing
+schedulers are handled by local facts, not engine modes:
+
+* **Stale work** is work whose attempt is no longer live
+  (``work.owner.live``); every path tests it, and a vectorized stretch
+  stops at the first stale work so the scalar step drops it.
+* **Flaky channels** (a live ``LinkFault``) add a retransmit delay that
+  can reorder arrivals, so each arrival over such a channel is its own
+  heap event and no vector run or fast-forward window crosses it; every
+  other channel keeps coalescing.
+* **Per-token hooks** (``TenantManager.note_token``, the scheduler's
+  ``notify_node_progress``) are replayed in scalar order after each
+  vectorized commit; nothing reads them inside a committed stretch.
 
 The loop also supports *online dynamics* (the ``repro.online`` package):
 environment events scheduled with :meth:`Simulation.schedule_event` can
 fail and restore nodes, degrade links, and hot-swap a replanned placement
-mid-run. Request attempts are versioned so work belonging to a disrupted
-attempt — in-flight activations, queued batches, pending completions — is
-dropped cleanly when the request re-enters the pending queue.
+mid-run. Each request attempt owns its works, so work belonging to a
+disrupted attempt — in-flight activations, queued batches, pending
+completions — is dropped cleanly once the attempt stops being live.
 
 Node lifecycle: a node is *up*, *zombie* (accepts work, never finishes
 it; ``make_zombie``), *silent* (crashed unannounced;
@@ -92,6 +105,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable
 
 import numpy as _np
@@ -124,6 +138,9 @@ K_ENV = 4      #: an environment callback (online dynamics)
 #: Minimum same-channel single-token run length worth the numpy setup cost
 #: in the batch-forwarding loop.
 _VEC_MIN = 16
+
+#: ``work.owner.live`` at C speed, for the liveness scans of cohort slices.
+_owner_live = attrgetter("owner.live")
 
 #: Node health values (see "Node lifecycle" in the module docstring).
 UP = "up"
@@ -183,18 +200,17 @@ class _ActiveRequest:
     """Live state of one scheduled request attempt."""
 
     __slots__ = (
-        "request", "request_id", "pipeline", "record", "attempt", "live",
+        "request", "request_id", "pipeline", "record", "live",
         "hops", "entry_channel", "prompt_works", "decode_works", "done",
         "output_len", "sched_id", "hedge", "is_hedge", "entry_work",
         "round_floor",
     )
 
-    def __init__(self, request, pipeline, record, attempt):
+    def __init__(self, request, pipeline, record):
         self.request = request
         self.request_id = request.request_id
         self.pipeline = pipeline
         self.record = record
-        self.attempt = attempt
         self.live = True
         self.output_len = request.output_len
         # The id this attempt is registered under (scheduler + active
@@ -304,6 +320,9 @@ class Simulation:
             one heap event per hop — the bit-identical per-token
             reference the differential suite compares against. Results
             are identical either way; only the wall-clock speed differs.
+            This is the only switch that changes which hot-path code
+            runs: faults, tenancy and the scheduler's progress hook do
+            not.
         timeline_resolution: Bucket width (seconds) of the global token
             timeline; keep it a power of two so windowed goodput over the
             derived view matches the exact timeline (see
@@ -431,16 +450,6 @@ class Simulation:
         self._token_bytes = model.token_bytes
         self._abpt = model.activation_bytes_per_token
         self._scratch: dict[LinkChannel, _HopGroup] = {}
-        # True once any attempt was disrupted; until then every in-flight
-        # work provably belongs to a live attempt and the per-work
-        # staleness checks are skipped.
-        self._disrupted = False
-        # True once any link turned flaky. Fault delays can reorder
-        # arrivals within what would have been one sorted hop group, so
-        # gray mode latches coalescing off (single-entry groups preserve
-        # heap ordering); like _disrupted it flips at most once, keeping
-        # the fault-free hot path untouched.
-        self._gray = False
         # Schedulers that keep the base class's no-op progress hook skip
         # the per-batch callback entirely.
         self._notify_progress = (
@@ -633,10 +642,7 @@ class Simulation:
             return False
         record = self._records[request.request_id]
         record.schedule_time = self._now
-        attempt = record.retries + record.migrations
-        active = _ActiveRequest(
-            request=request, pipeline=pipeline, record=record, attempt=attempt
-        )
+        active = _ActiveRequest(request=request, pipeline=pipeline, record=record)
         self._build_hops(active)
         self._dispatch(active)
         policy = self._policy
@@ -663,7 +669,6 @@ class Simulation:
         stages = active.pipeline.stages
         depth = len(stages)
         rid = active.request_id
-        attempt = active.attempt
         input_len = active.request.input_len
         channels = self.channels
         hops = active.hops
@@ -695,16 +700,16 @@ class Simulation:
             hops.append(hop)
             active.round_floor += hop.decode_time
             prompt_works.append(StageWork(
-                rid, index, input_len, num_layers, True, attempt,
+                rid, index, input_len, num_layers, True,
                 tl=input_len * num_layers, owner=active, hop=hop,
             ))
             decode_works.append(StageWork(
-                rid, index, 1, num_layers, False, attempt,
+                rid, index, 1, num_layers, False,
                 tl=num_layers, owner=active, hop=hop,
             ))
         # Chain each work to the one its stage forwards to (itself at the
         # final stage: the token returns to the coordinator carrying the
-        # same owner/attempt identity).
+        # same owner).
         for index in range(depth):
             nxt = index + 1 if index + 1 < depth else index
             object.__setattr__(prompt_works[index], "next", prompt_works[nxt])
@@ -735,17 +740,20 @@ class Simulation:
             )
         num_bytes = active.request.input_len * self._token_bytes
         arrival = active.entry_channel.transmit(self._now, num_bytes)
-        if self._gray:
-            fault = active.entry_channel.fault
-            if fault is not None:
-                arrival += fault.delay()
-        group = _HopGroup(K_GROUP)
-        group.times.append(arrival)
+        fault = active.entry_channel.fault
+        if fault is not None:
+            arrival += fault.delay()
         seq = self._seq
         self._seq = seq + 1
+        self._push_one(arrival, seq, K_GROUP, active.prompt_works[0])
+
+    def _push_one(self, when: float, seq: int, kind: int, work) -> None:
+        """Push a single-entry hop group (one work, one heap event)."""
+        group = _HopGroup(kind)
+        group.times.append(when)
         group.seqs.append(seq)
-        group.works.append(active.prompt_works[0])
-        heappush(self._events, (arrival, group.seqs[0], K_GROUP, group))
+        group.works.append(work)
+        heappush(self._events, (when, seq, kind, group))
 
     # ------------------------------------------------------------------
     # Hot loop: group drains, batches, tokens
@@ -759,7 +767,7 @@ class Simulation:
         n = len(times)
         events = self._events
         max_time = self.max_time
-        disrupted = self._disrupted
+        coalesce = self._coalesce
         # The heap top only changes when this drain starts a batch, so it
         # is re-read only then instead of per work.
         if events:
@@ -785,43 +793,45 @@ class Simulation:
                 self._halt = True
                 return
             work = works[i]
-            if not disrupted:
-                executor = work.hop.executor
-                if executor.busy:
-                    # Arrivals at a busy executor are pure enqueues: take
-                    # the whole stretch due before the next heap event (or
-                    # the horizon) in one slice. All works of a group
-                    # target the same executor (one channel, one
-                    # destination), and nothing can flip it idle before
-                    # the next event pops.
-                    bound = top_t if top_t < max_time else max_time
-                    j = bisect_right(times, bound, i, n)
-                    while j > i and times[j - 1] == top_t and seqs[j - 1] > top_seq:
-                        j -= 1
+            executor = work.hop.executor
+            if coalesce and executor.busy and work.owner.live:
+                # Arrivals at a busy executor are pure enqueues: take the
+                # whole stretch due before the next heap event (or the
+                # horizon) in one slice. All works of a group target the
+                # same executor (one channel, one destination), and
+                # nothing can flip it idle before the next event pops.
+                # The slice stops at the first stale work, which the
+                # scalar step below drops (per-hop stepping enqueues
+                # every work there).
+                bound = top_t if top_t < max_time else max_time
+                j = bisect_right(times, bound, i, n)
+                while j > i and times[j - 1] == top_t and seqs[j - 1] > top_seq:
+                    j -= 1
+                span = works[i:j]
+                if j - i > 1 and not all(map(_owner_live, span)):
+                    j = i + list(map(_owner_live, span)).index(False)
                     span = works[i:j]
-                    utl = group.utl
-                    if utl >= 0:
-                        # Uniform single-token cohort: slice totals are
-                        # O(1) integer products, no per-work scan.
-                        tokens = j - i
-                        tl = tokens * utl
-                    else:
-                        tokens = 0
-                        tl = 0
-                        for peer in span:
-                            tokens += peer.num_tokens
-                            tl += peer.tl
-                    executor.enqueue_run(span, tokens, tl)
-                    i = j
-                    if i == n:
-                        group.index = n
-                        self._now = times[n - 1]
-                        return
-                    continue  # the loop head re-checks pause/halt for i
+                utl = group.utl
+                if utl >= 0:
+                    # Uniform single-token cohort: slice totals are O(1)
+                    # integer products, no per-work scan.
+                    tokens = j - i
+                    tl = tokens * utl
+                else:
+                    tokens = 0
+                    tl = 0
+                    for peer in span:
+                        tokens += peer.num_tokens
+                        tl += peer.tl
+                executor.enqueue_run(span, tokens, tl)
+                i = j
+                if i == n:
+                    group.index = n
+                    self._now = times[n - 1]
+                    return
+                continue  # the loop head re-checks pause/halt for i
             i += 1
-            owner = work.owner
-            if not disrupted or (owner.live and owner.attempt == work.attempt):
-                executor = work.hop.executor
+            if work.owner.live:
                 if executor.busy or executor.queue:
                     executor.queue.append(work)
                     executor.queue_tokens += work.num_tokens
@@ -863,43 +873,10 @@ class Simulation:
                 return
 
     def _start_batch(self, executor: NodeExecutor) -> None:
-        cap = executor.max_batch_tokens
-        if cap is None or executor.queue_tokens <= cap:
-            batch = executor.queue
-            if not batch:
-                executor.busy = False
-                return
-            tl = executor.queue_tl
-            tokens = executor.queue_tokens
-            executor.queue = []
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-        else:
-            # Token-capped batch formation in one pass (same FIFO cut rule
-            # as NodeExecutor.take_batch, fused with the batch pricing).
-            queue = executor.queue
-            tokens = queue[0].num_tokens
-            tl = queue[0].tl
-            cut = 1
-            length = len(queue)
-            while cut < length:
-                item = queue[cut]
-                num_tokens = item.num_tokens
-                if tokens + num_tokens > cap:
-                    break
-                tokens += num_tokens
-                tl += item.tl
-                cut += 1
-            if cut == length:
-                batch = queue
-                executor.queue = []
-                executor.queue_tokens = 0
-                executor.queue_tl = 0
-            else:
-                batch = queue[:cut]
-                del queue[:cut]
-                executor.queue_tokens -= tokens
-                executor.queue_tl -= tl
+        batch, tokens, tl = executor.take_batch()
+        if not batch:
+            executor.busy = False
+            return
         executor.busy = True
         elapsed = (
             tl / executor.compute_rate
@@ -939,11 +916,8 @@ class Simulation:
             self.scheduler.notify_node_progress(executor.node_id, tokens, elapsed)
 
         now = self._now
-        disrupted = self._disrupted
-        gray = self._gray
-        coalesce = self._coalesce and not gray
+        coalesce = self._coalesce
         scratch = self._scratch
-        events = self._events
         seq = self._seq
         token_bytes = self._token_bytes
         abpt = self._abpt
@@ -953,10 +927,10 @@ class Simulation:
         # the run ends. The arithmetic (values and order) is unchanged.
         pool = None
         p_used = p_cap = p_peak = p_over = 0
-        channel = None
+        channel = ch_fault = None
         ch_nf = ch_bytes = ch_qd = ch_maxq = ch_bw = ch_lat = 0.0
         ch_msgs = 0
-        final = False
+        final = grouped = False
         kind = K_GROUP
         g_times = g_seqs = g_works = None
         n_works = len(batch)
@@ -965,12 +939,19 @@ class Simulation:
         # continuously busy, so every start time equals the previous end
         # time and the whole chain is one strict left fold —
         # np.add.accumulate reproduces it bit-for-bit (asserted in tests).
-        vec_ok = coalesce and not disrupted and n_works >= _VEC_MIN
+        # A run stops at the first stale work and needs a fault-free
+        # channel (retransmit delays are drawn per message).
+        vec_ok = coalesce and n_works >= _VEC_MIN
         scan_limit = 0
         idx = 0
         while idx < n_works:
             work = batch[idx]
-            if vec_ok and idx >= scan_limit and work.num_tokens == 1:
+            if (
+                vec_ok
+                and idx >= scan_limit
+                and work.num_tokens == 1
+                and work.owner.live
+            ):
                 hop = work.hop
                 run_channel = hop.channel
                 j = idx + 1
@@ -979,11 +960,12 @@ class Simulation:
                     if (
                         peer.num_tokens != 1
                         or peer.hop.channel is not run_channel
+                        or not peer.owner.live
                     ):
                         break
                     j += 1
                 k = j - idx
-                if k >= _VEC_MIN:
+                if k >= _VEC_MIN and run_channel.fault is None:
                     # Write back the scalar run caches before going wide.
                     if pool is not None:
                         pool.used_tokens = p_used
@@ -1048,9 +1030,7 @@ class Simulation:
                 scan_limit = j  # short run: process it scalar, no rescans
             idx += 1
             owner = work.owner
-            if disrupted and not (
-                owner.live and owner.attempt == work.attempt
-            ):
+            if not owner.live:
                 continue  # finished under max_time truncation, or disrupted
             hop = work.hop
             num_tokens = work.num_tokens
@@ -1091,9 +1071,13 @@ class Simulation:
                 ch_maxq = ch.max_queueing_delay
                 ch_bw = ch.bandwidth
                 ch_lat = ch.latency
+                ch_fault = ch.fault
                 final = hop.final
                 kind = K_TOKEN if final else K_GROUP
-                if coalesce:
+                # Fault delays can reorder a channel's arrivals, so a
+                # flaky channel sends each one as its own heap event.
+                grouped = coalesce and ch_fault is None
+                if grouped:
                     group = scratch.get(ch)
                     if group is None:
                         group = _HopGroup(kind)
@@ -1117,20 +1101,14 @@ class Simulation:
             if queueing > ch_maxq:
                 ch_maxq = queueing
             arrival = end + ch_lat
-            if gray:
-                fault = ch.fault
-                if fault is not None:
-                    arrival += fault.delay()
-            if coalesce:
+            if ch_fault is not None:
+                arrival += ch_fault.delay()
+            if grouped:
                 g_times.append(arrival)
                 g_seqs.append(seq)
                 g_works.append(work.next)
             else:
-                group = _HopGroup(kind)
-                group.times.append(arrival)
-                group.seqs.append(seq)
-                group.works.append(work.next)
-                heappush(events, (arrival, seq, kind, group))
+                self._push_one(arrival, seq, kind, work.next)
             seq += 1
         self._seq = seq
         if pool is not None:
@@ -1143,11 +1121,11 @@ class Simulation:
             channel.messages_sent = ch_msgs
             channel.total_queueing_delay = ch_qd
             channel.max_queueing_delay = ch_maxq
-        if coalesce and scratch:
+        if scratch:
+            events = self._events
             for group in scratch.values():
                 heappush(
-                    events,
-                    (group.times[0], group.seqs[0], group.kind, group),
+                    events, (group.times[0], group.seqs[0], group.kind, group)
                 )
                 self.grouped_hops += len(group.times)
             scratch.clear()
@@ -1164,9 +1142,7 @@ class Simulation:
         n = len(times)
         events = self._events
         max_time = self.max_time
-        disrupted = self._disrupted
-        gray = self._gray
-        coalesce = self._coalesce and not gray
+        coalesce = self._coalesce
         scratch = self._scratch
         tenancy = self._tenancy
         token_bytes = self._token_bytes
@@ -1174,10 +1150,6 @@ class Simulation:
         tl_counts = timeline._counts
         tl_inv = timeline._inv
         tl_added = 0
-        # The wide token path engages only on the clean steady state: no
-        # disruption latch (stale-work filtering stays scalar), no
-        # per-token tenancy accounting, coalescing on.
-        batch_vec = coalesce and not disrupted and tenancy is None
         vec_scan = i
         # Earliest re-entry arrival accumulated in scratch but not yet in
         # the heap; the drain must not run past it.
@@ -1204,8 +1176,8 @@ class Simulation:
                 self._flush_scratch()
                 self._halt = True
                 return
-            if batch_vec and i >= vec_scan and n - i >= _VEC_MIN:
-                advanced, skip, pending_first = self._vec_token_run(
+            if coalesce and i >= vec_scan and n - i >= _VEC_MIN:
+                advanced, pending_first = self._vec_token_run(
                     group, i, top_t, pending_first
                 )
                 if advanced:
@@ -1216,15 +1188,15 @@ class Simulation:
                         self._flush_scratch()
                         return
                     continue
-                # Nothing committed: let the scalar path chew through at
-                # least ``skip`` tokens (first/last tokens, channel
+                # Nothing committed: let the scalar path chew through
+                # ``_VEC_MIN`` tokens (first/last tokens, channel
                 # switches, tie races) before paying the gather again.
-                vec_scan = i + (skip if skip >= _VEC_MIN else _VEC_MIN)
+                vec_scan = i + _VEC_MIN
             self._now = t
             work = works[i]
             i += 1
             owner = work.owner
-            if not disrupted or (owner.live and owner.attempt == work.attempt):
+            if owner.live:
                 record = owner.record
                 token_times = record.token_times
                 if not token_times:
@@ -1238,8 +1210,6 @@ class Simulation:
                         owner.is_hedge = False
                         if peer.sched_id in self._active:
                             self._cancel_attempt(peer)
-                        disrupted = True
-                        batch_vec = False
                     record.first_token_time = t
                     if tenancy is not None:
                         tenancy.note_first_token(
@@ -1273,8 +1243,11 @@ class Simulation:
                     and not scratch
                     and not self._pending
                     and owner.hedge is None
+                    and owner.entry_channel.fault is None
                     and not any(
-                        hop.executor.busy or hop.executor.queue
+                        hop.executor.busy
+                        or hop.executor.queue
+                        or hop.channel.fault is not None
                         for hop in owner.hops
                     )
                 ):
@@ -1285,7 +1258,9 @@ class Simulation:
                     # due. Every other live request is parked in the heap
                     # (its next transition is a scheduled event at or
                     # past the window limit), so nothing can touch this
-                    # request's executors or channels before the limit.
+                    # request's executors or channels before the limit;
+                    # none of those channels is flaky, so the window draws
+                    # no retransmit delays.
                     if len(self._active) > 1:
                         self.group_fast_forwards += 1
                     group.index = n
@@ -1308,13 +1283,12 @@ class Simulation:
                     if queueing > channel.max_queueing_delay:
                         channel.max_queueing_delay = queueing
                     arrival = end + channel.latency
-                    if gray:
-                        fault = channel.fault
-                        if fault is not None:
-                            arrival += fault.delay()
+                    fault = channel.fault
+                    if fault is not None:
+                        arrival += fault.delay()
                     seq = self._seq
                     self._seq = seq + 1
-                    if coalesce:
+                    if coalesce and fault is None:
                         subgroup = scratch.get(channel)
                         if subgroup is None:
                             subgroup = _HopGroup(K_GROUP)
@@ -1328,11 +1302,9 @@ class Simulation:
                         if arrival < pending_first:
                             pending_first = arrival
                     else:
-                        subgroup = _HopGroup(K_GROUP)
-                        subgroup.times.append(arrival)
-                        subgroup.seqs.append(seq)
-                        subgroup.works.append(owner.decode_works[0])
-                        heappush(events, (arrival, seq, K_GROUP, subgroup))
+                        self._push_one(
+                            arrival, seq, K_GROUP, owner.decode_works[0]
+                        )
                         top = events[0]
                         top_t = top[0]
                         top_seq = top[1]
@@ -1353,7 +1325,7 @@ class Simulation:
         i: int,
         top_t: float,
         pending_first: float,
-    ) -> tuple[int, int, float]:
+    ) -> tuple[int, float]:
         """Advance a run of steady-state decode token deliveries at once.
 
         The scalar drain in :meth:`_on_token_group` performs, per token:
@@ -1361,10 +1333,12 @@ class Simulation:
         transmit on the owner's entry channel. For a run of *mid-decode*
         tokens whose owners share one entry channel, all of that
         collapses into one walk over the owners plus a handful of array
-        folds. Eligibility is decided from the owners' records in that
-        walk (``tokens_generated > 0`` excludes first tokens and their
-        hedge/TTFT bookkeeping; ``tokens_generated + 1 < output_len``
-        excludes finishing tokens and the heap-top refresh they force);
+        folds. Eligibility is decided from the owners in that walk (a
+        stale owner ends the run; ``tokens_generated > 0`` excludes first
+        tokens and their hedge/TTFT bookkeeping;
+        ``tokens_generated + 1 < output_len`` excludes finishing tokens
+        and the heap-top refresh they force), and the shared entry
+        channel must be fault-free;
         a candidate run is then cut at the heap top (exact-time ties go
         scalar, where the sequence compare decides), the horizon, and
         the earliest re-entry feedback bound, and finally validated
@@ -1384,11 +1358,10 @@ class Simulation:
         survive the two formulas coincide exactly), so the committed
         prefix is observably identical to scalar processing.
 
-        Returns ``(advanced, skip, pending_first)``: ``advanced`` tokens
+        Returns ``(advanced, pending_first)``: ``advanced`` tokens
         starting at ``group.index == i`` were fully committed (records,
-        timeline, channel counters, re-entry works, event
-        sequence numbers); when 0, the caller should run at least
-        ``skip`` tokens through the scalar path before re-attempting.
+        timeline, tenant token accounting, channel counters, re-entry
+        works, event sequence numbers), possibly none.
         """
         times = group.times
         works = group.works
@@ -1396,42 +1369,35 @@ class Simulation:
         if end - i > 1024:
             end = i + 1024
         channel = works[i].owner.entry_channel
+        if channel.fault is not None:
+            return 0, pending_first
         owners = []
         append_owner = owners.append
         for work in works[i:end]:
             owner = work.owner
             generated = owner.record.tokens_generated
             if (
-                not generated
+                not owner.live
+                or not generated
                 or generated + 1 >= owner.output_len
                 or owner.entry_channel is not channel
             ):
                 break
             append_owner(owner)
         k = len(owners)
-        if not k:
-            # Skip ahead to the next token that would be eligible.
-            for j in range(i + 1, end):
-                owner = works[j].owner
-                generated = owner.record.tokens_generated
-                if (
-                    generated
-                    and generated + 1 < owner.output_len
-                    and owner.entry_channel is channel
-                ):
-                    return 0, j - i, pending_first
-            return 0, end - i, pending_first
+        if k < _VEC_MIN:
+            return 0, pending_first
         t_arr = _np.array(times[i:i + k])
         if t_arr[k - 1] >= top_t:
             k = int(_np.searchsorted(t_arr, top_t, side="left"))
             if k < _VEC_MIN:
-                return 0, k, pending_first
+                return 0, pending_first
             t_arr = t_arr[:k]
         max_time = self.max_time
         if t_arr[k - 1] > max_time:
             k = int(_np.searchsorted(t_arr, max_time, side="right"))
             if k < _VEC_MIN:
-                return 0, k, pending_first
+                return 0, pending_first
             t_arr = t_arr[:k]
         token_bytes = self._token_bytes
         transmission = token_bytes / channel.bandwidth
@@ -1447,7 +1413,7 @@ class Simulation:
         if t_arr[k - 1] > bound:
             k = int(_np.searchsorted(t_arr, bound, side="right"))
             if k < _VEC_MIN:
-                return 0, k, pending_first
+                return 0, pending_first
             t_arr = t_arr[:k]
         chain = _np.empty(k)
         chain[0] = start0 + transmission
@@ -1473,7 +1439,7 @@ class Simulation:
             t_arr = t_arr[:k]
             ends = t_arr + transmission
         if k < _VEC_MIN:
-            return 0, k, pending_first
+            return 0, pending_first
         # ---- commit ----
         arrivals = ends + channel.latency
         channel.next_free_time = float(ends[k - 1])
@@ -1516,13 +1482,17 @@ class Simulation:
             record.token_times.append(t)
             record.tokens_generated += 1
             append_work(owner.entry_work)
+        tenancy = self._tenancy
+        if tenancy is not None:
+            for owner, t in zip(owners, t_list):
+                tenancy.note_token(owner.request.tenant_id, t)
         last = t_list[k - 1]
         self._now = last
         self._last_token_time = last
         self.vectorized_tokens += k
         if arr_list[0] < pending_first:
             pending_first = arr_list[0]
-        return k, 0, pending_first
+        return k, pending_first
 
     def _flush_scratch(self) -> None:
         scratch = self._scratch
@@ -1568,11 +1538,7 @@ class Simulation:
         token_times = record.token_times
         decode_works = owner.decode_works
         tenancy = self._tenancy
-        if (
-            tenancy is None
-            and not notify
-            and limit - self._now > _VEC_MIN * owner.round_floor
-        ):
+        if limit - self._now > _VEC_MIN * owner.round_floor:
             # Macro-step whole decode rounds vectorized (guess-and-verify;
             # bit-exact committed prefix). The scalar loop below then
             # handles the boundary round. A window shorter than
@@ -1604,11 +1570,7 @@ class Simulation:
             seq += 1
             if cur >= limit:
                 # The stage-0 arrival is not ours to run: re-materialize it.
-                group = _HopGroup(K_GROUP)
-                group.times.append(cur)
-                group.seqs.append(arrival_seq)
-                group.works.append(decode_works[0])
-                heappush(events, (cur, arrival_seq, K_GROUP, group))
+                self._push_one(cur, arrival_seq, K_GROUP, decode_works[0])
                 stopped = True
                 break
             if cur > max_time:
@@ -1677,12 +1639,9 @@ class Simulation:
                 seq += 1
                 if cur >= limit:
                     self._now = completion
-                    group = _HopGroup(K_TOKEN if hop.final else K_GROUP)
-                    group.times.append(cur)
-                    group.seqs.append(forward_seq)
-                    group.works.append(decode_works[hop.stage_index].next)
-                    heappush(
-                        events, (cur, forward_seq, group.kind, group)
+                    self._push_one(
+                        cur, forward_seq, K_TOKEN if hop.final else K_GROUP,
+                        decode_works[hop.stage_index].next,
                     )
                     stopped = True
                     break
@@ -1743,7 +1702,10 @@ class Simulation:
         strict left folds the scalar chain performs (``add.accumulate``
         for float accumulators; integer totals exactly), and the event
         sequence counter advances by the rounds' exact allocation count.
-        Returns the tokens produced; the caller's scalar loop handles
+        The per-token hooks (the scheduler's ``notify_node_progress`` per
+        hop per round, ``TenantManager.note_token`` per token) are
+        replayed after each commit in scalar order; nothing inside the
+        closed window reads them. Returns the tokens produced; the caller's scalar loop handles
         the boundary round (guess misses and saturated channels simply
         end the committed prefix early — correctness never depends on
         the guess being right).
@@ -1767,6 +1729,10 @@ class Simulation:
         timeline = self._timeline
         token_times = record.token_times
         max_time = self.max_time
+        notify = self._notify_progress
+        notify_fn = self.scheduler.notify_node_progress
+        tenancy = self._tenancy
+        tenant_id = owner.request.tenant_id
         seq_per_round = 1 + 2 * depth
         total = 0
         t = self._now
@@ -1862,7 +1828,15 @@ class Simulation:
                 ch.messages_sent += p
                 ch.next_free_time = float(h_end[p - 1])
             owner.done += depth * p
-            token_times.extend(tok.tolist())
+            tok_list = tok.tolist()
+            token_times.extend(tok_list)
+            if notify:
+                for _ in range(p):
+                    for hop in hops:
+                        notify_fn(hop.node_id, 1, hop.decode_time)
+            if tenancy is not None:
+                for when in tok_list:
+                    tenancy.note_token(tenant_id, when)
             record.tokens_generated += p
             timeline.add_many(tok)
             self._seq += seq_per_round * p
@@ -1913,7 +1887,6 @@ class Simulation:
         for index, hop in enumerate(active.hops):
             if self._life(hop.node_id).health not in (SILENT, DOWN):
                 hop.pool.free(active.kv_allocated(index))
-        self._disrupted = True
         self._retire(active, self.scheduler.notify_failed)
 
     def _ttft_check(self, active: _ActiveRequest) -> None:
@@ -1966,8 +1939,7 @@ class Simulation:
         if pipeline is None:
             return
         hedge = _ActiveRequest(
-            request=active.request, pipeline=pipeline, record=record,
-            attempt=active.attempt,
+            request=active.request, pipeline=pipeline, record=record
         )
         hedge.sched_id = hedge_id
         hedge.is_hedge = True
@@ -1985,7 +1957,7 @@ class Simulation:
 
         The attempt's tokens become wasted work, its KV charges on
         surviving nodes are released (the failed node's pool was flushed
-        wholesale), and the liveness/attempt bump makes every event the old
+        wholesale), and the liveness flip makes every event the old
         attempt still has in flight fall on the floor. Under a lifecycle
         policy the re-dispatch may instead wait out a backoff, or — past
         the retry budget — abandon the request (*lost*).
@@ -2089,7 +2061,6 @@ class Simulation:
             self._residency.flush(node_id)
             self.scheduler.mark_node_warm(node_id)
         self.cluster.set_node_available(node_id, False)
-        self._disrupted = True
         self.scheduler.mark_node_down(node_id)
         self._quiesce(node_id)
         self._flush_kv(node_id)
@@ -2206,12 +2177,20 @@ class Simulation:
         """A link turns lossy: each message may pay retransmit delays.
 
         Attaches a seeded :class:`~repro.online.faults.LinkFault` to the
-        channel(s) and latches the simulation into gray mode (per-hop
-        events; see ``_gray``). Data messages are delayed, never lost;
-        heartbeats crossing the link may be dropped outright.
+        channel(s). Data messages are delayed, never lost; heartbeats
+        crossing the link may be dropped outright. Delays can reorder a
+        channel's arrivals, so while the fault lives every arrival over
+        the channel is its own heap event and no vectorized run or
+        fast-forward window crosses it; other channels are unaffected.
+        ``retransmit_delay`` must be finite and non-negative.
         """
         from repro.online.faults import LinkFault
 
+        if not 0 <= retransmit_delay < math.inf:  # also false for NaN
+            raise SimulationError(
+                "retransmit_delay must be finite and >= 0, got "
+                f"{retransmit_delay}"
+            )
         self.cluster.link(src, dst)  # referential check
         for key in self._link_keys(src, dst, bidirectional):
             channel = self.channels.get(key)
@@ -2224,29 +2203,22 @@ class Simulation:
                 retransmit_delay,
                 seed=f"repro-flaky:{self.seed}:{key[0]}:{key[1]}",
             )
-        self._gray = True
 
     def clear_link_flaky(
         self, src: str, dst: str, bidirectional: bool = True
     ) -> None:
-        """A flaky link heals.
+        """A flaky link heals: its channels coalesce again.
 
-        Once the *last* live fault object is gone, gray mode unlatches:
-        coalescing, vectorization, and the fast-forward come back on. That
-        is safe because fault delays only perturb *future* arrivals —
-        everything already in the heap was priced when its fault (if any)
-        was live, and with no fault remaining, new hop groups are sorted
-        again. A differential test asserts post-heal timelines are
-        unchanged against a per-hop run.
+        Fault delays only perturb *future* arrivals — everything already
+        in the heap was priced when its fault (if any) was live — so the
+        healed channels' new hop groups are sorted again. A differential
+        test asserts post-heal timelines are unchanged against a per-hop
+        run.
         """
         for key in self._link_keys(src, dst, bidirectional):
             channel = self.channels.get(key)
             if channel is not None:
                 channel.fault = None
-        if self._gray and all(
-            channel.fault is None for channel in self.channels.values()
-        ):
-            self._gray = False
 
     def restore_node(self, node_id: str) -> None:
         """A failed node rejoins (cold: empty KV, empty queue)."""
@@ -2367,17 +2339,15 @@ class Simulation:
         res.evict_for(node_id, needed, budget, self._now)
         layer_bytes = res.layer_bytes
         now = self._now
-        gray = self._gray
         sources: list[str] = []
         latest = now
         for layer in missing:
             src, channel = self._weight_source(node_id, layer)
             sources.append(src)
             arrival = channel.transmit(now, layer_bytes)
-            if gray:
-                fault = channel.fault
-                if fault is not None:
-                    arrival += fault.delay()
+            fault = channel.fault
+            if fault is not None:
+                arrival += fault.delay()
             if arrival > latest:
                 latest = arrival
         token = res.begin(

@@ -15,13 +15,13 @@ legacy / default / per-hop matrix via ``check_sim_engines``.
 
 import pytest
 
-from repro.cluster import A100_40G, Cluster, Profiler
+from repro.cluster import A100_40G, L4, T4, Cluster, Profiler
 from repro.core.placement_types import ModelPlacement
 from repro.core.units import GBIT
 from repro.flow.graph import FlowGraph
 from repro.models.specs import ModelSpec
 from repro.scenarios import CHAOS_FAMILY, ELASTIC_FAMILY, TENANT_FAMILY
-from repro.scheduling import HelixScheduler
+from repro.scheduling import HelixScheduler, SwarmScheduler
 from repro.sim import Request, Simulation
 from repro.testkit.differential import (
     _compare_observables,
@@ -69,13 +69,37 @@ def _single_stage_material():
     return cluster, model, placement, flow
 
 
-def _serve(requests, coalescing=True, tenancy=None, events=(), **sim_kwargs):
-    cluster, model, placement, flow = _single_stage_material()
-    profiler = Profiler()
-    scheduler = HelixScheduler(
-        cluster, model, placement, profiler, flow=flow,
-        expected_output_len=float(requests[0].output_len),
+def _replica_material():
+    """Two stages, two unequal replicas each, on a 10 Gb/s full mesh."""
+    _, model, _, _ = _single_stage_material()
+    cluster = Cluster(name="batch-engine-replicas")
+    for node_id, gpu in (
+        ("a100-0", A100_40G), ("l4-0", L4), ("t4-0", T4), ("t4-1", T4)
+    ):
+        cluster.add_node(node_id, gpu, region="r0")
+    cluster.connect_full_mesh(
+        ["a100-0", "l4-0", "t4-0", "t4-1"], 10 * GBIT, 0.001,
+        include_coordinator=True,
     )
+    cluster.validate()
+    placement = ModelPlacement.from_intervals(
+        8, {"a100-0": (0, 4), "t4-1": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
+    )
+    flow = FlowGraph(cluster, model, placement).solve()
+    return cluster, model, placement, flow
+
+
+def _serve(requests, coalescing=True, tenancy=None, events=(),
+           material=_single_stage_material, swarm=False, **sim_kwargs):
+    cluster, model, placement, flow = material()
+    profiler = Profiler()
+    if swarm:
+        scheduler = SwarmScheduler(cluster, model, placement, profiler)
+    else:
+        scheduler = HelixScheduler(
+            cluster, model, placement, profiler, flow=flow,
+            expected_output_len=float(requests[0].output_len),
+        )
     sim = Simulation(
         cluster, model, placement, scheduler, list(requests),
         profiler=profiler, max_time=1e9, seed=0, coalescing=coalescing,
@@ -87,10 +111,10 @@ def _serve(requests, coalescing=True, tenancy=None, events=(), **sim_kwargs):
     return sim, metrics
 
 
-def _assert_engines_agree(requests, tenancy=None, events=()):
+def _assert_engines_agree(requests, **serve_kwargs):
     """Serve with and without coalescing; returns the two simulations."""
-    perhop = _serve(requests, False, tenancy=tenancy, events=events)
-    default = _serve(requests, True, tenancy=tenancy, events=events)
+    perhop = _serve(requests, False, **serve_kwargs)
+    default = _serve(requests, True, **serve_kwargs)
     violations = _compare_observables(
         "default-vs-perhop",
         _engine_observables(*default),
@@ -196,7 +220,7 @@ def test_group_fast_forward_covers_concurrent_closed_windows():
     assert default.vec_fast_forwarded_tokens > 10_000
 
 
-def test_tenancy_tagged_trace_matches_and_disables_vec_paths():
+def test_tenancy_tagged_trace_matches_on_vec_paths():
     from repro.tenancy import (
         FairnessConfig, TenancyConfig, TenantRegistry, TenantSpec,
     )
@@ -223,9 +247,69 @@ def test_tenancy_tagged_trace_matches_and_disables_vec_paths():
         default.tenancy.tokens_by_tenant == perhop.tenancy.tokens_by_tenant
     )
     # Per-token tenant accounting is order-sensitive; the vectorized
-    # paths fall back to scalar stepping rather than approximate it.
-    assert default.vectorized_tokens == 0
-    assert default.vec_fast_forwarded_tokens == 0
+    # fast-forward replays it token by token in scalar order.
+    assert default.vec_fast_forwarded_tokens > 0
+
+
+# ----------------------------------------------------------------------
+# One hot path: faults, flaky links and progress hooks keep it engaged
+# ----------------------------------------------------------------------
+def test_stale_works_after_a_failure_are_cut_from_cohorts():
+    """A stage-1 crash leaves its attempts' re-entry works in flight
+    toward the busy stage-0 executors they share with live attempts;
+    the cohort enqueue must stop at each stale one."""
+    requests = [
+        Request(f"r{i:02d}", 32, 40, arrival_time=i * 0.002)
+        for i in range(60)
+    ]
+    grouped_at_failure = []
+
+    def fail(sim):
+        grouped_at_failure.append(sim.grouped_hops)
+        sim.fail_node("l4-0")
+
+    _, default = _assert_engines_agree(
+        requests, events=[(0.1, fail)], material=_replica_material
+    )
+    assert sum(record.retries for record in default.records) > 0
+    # Hop groups keep forming after the crash (no disruption mode).
+    assert default.grouped_hops > grouped_at_failure[-1]
+
+
+def test_flaky_link_leaves_other_channels_coalescing():
+    """A live fault on one stage link: its arrivals go one heap event
+    each, every other channel keeps its hop groups and vector runs."""
+    requests = [
+        Request(f"r{i:02d}", 32, 40, arrival_time=i * 0.002)
+        for i in range(60)
+    ]
+    events = [
+        (0.0, lambda s: s.set_link_flaky("a100-0", "l4-0", 0.3, 0.002))
+    ]
+    _, default = _assert_engines_agree(
+        requests, events=events, material=_replica_material
+    )
+    fault = default.channels[("a100-0", "l4-0")].fault
+    assert fault is not None and fault.drops > 0
+    assert default.grouped_hops > 0
+    assert default.vectorized_tokens > 0
+
+
+def test_swarm_progress_hook_is_replayed_through_fast_forward():
+    """Swarm observes every batch; the vectorized fast-forward must feed
+    its throughput estimates the same per-hop, per-round updates."""
+    requests = [
+        Request(f"s{i}", 32, 40, arrival_time=10.0 + i * 5.0)
+        for i in range(6)
+    ]
+    perhop, default = _assert_engines_agree(
+        requests, material=_replica_material, swarm=True
+    )
+    assert default.vec_fast_forwarded_tokens > 0
+    for node_id in default.executors:
+        assert default.scheduler.throughput_estimate(node_id) == (
+            perhop.scheduler.throughput_estimate(node_id)
+        )
 
 
 # ----------------------------------------------------------------------

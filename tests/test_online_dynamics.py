@@ -448,7 +448,12 @@ class TestControlInputValidation:
         (lambda s: s.degrade_link("a100-0", "l4-0", math.nan), "factor"),
         (lambda s: s.set_compute_slowdown("a100-0", math.nan), "factor"),
         (lambda s: s.set_compute_slowdown("a100-0", math.inf), "factor"),
-    ], ids=["event-nan", "degrade-nan", "slowdown-nan", "slowdown-inf"])
+        (lambda s: s.set_link_flaky("a100-0", "l4-0", 0.5, math.nan),
+         "retransmit_delay"),
+        (lambda s: s.set_link_flaky("a100-0", "l4-0", 0.5, math.inf),
+         "retransmit_delay"),
+    ], ids=["event-nan", "degrade-nan", "slowdown-nan", "slowdown-inf",
+            "flaky-delay-nan", "flaky-delay-inf"])
     def test_non_finite_input_is_rejected_by_name(
         self, small_cluster, tiny_model, placement8, call, argument
     ):

@@ -66,7 +66,7 @@ class TestNodeExecutor:
         ex = self._executor(tiny_model)
         for i in range(3):
             ex.enqueue(StageWork(f"r{i}", 0, 10, 4, True))
-        batch = ex.take_batch()
+        batch, _, _ = ex.take_batch()
         assert len(batch) == 3
         assert not ex.has_work()
 
@@ -74,14 +74,14 @@ class TestNodeExecutor:
         ex = self._executor(tiny_model, cap=25)
         for i in range(3):
             ex.enqueue(StageWork(f"r{i}", 0, 10, 4, True))
-        batch = ex.take_batch()
+        batch, _, _ = ex.take_batch()
         assert len(batch) == 2  # 10 + 10 fits, third would exceed 25
         assert len(ex.queue) == 1
 
     def test_single_oversize_item_still_runs(self, tiny_model):
         ex = self._executor(tiny_model, cap=5)
         ex.enqueue(StageWork("big", 0, 100, 4, True))
-        assert len(ex.take_batch()) == 1
+        assert len(ex.take_batch()[0]) == 1
 
     def test_batch_time_increases_with_work(self, tiny_model):
         ex = self._executor(tiny_model)

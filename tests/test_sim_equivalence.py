@@ -128,6 +128,52 @@ def test_churn_event_invalidates_fast_forward_window():
     assert fast_metrics.decode_throughput == legacy_metrics.decode_throughput
 
 
+def test_announced_failure_requeues_in_active_order(small_cluster, tiny_model):
+    """Requeued requests re-enter the pending queue in ``_active`` order.
+
+    Three single-stage replicas of unequal speed: the crash of the
+    fastest requeues several mid-decode requests of unequal lengths onto
+    the two slower ones, so the order they are re-dispatched in decides
+    which request lands where. The frozen engine requeues in ``_active``
+    order; every token time must match it.
+    """
+    placement = ModelPlacement.from_intervals(
+        8, {"a100-0": (0, 8), "l4-0": (0, 8), "t4-0": (0, 8)}
+    )
+    requests = [
+        Request(f"r{i}", 16 + 8 * i, 20 + 3 * i) for i in range(9)
+    ]
+
+    def build(sim_cls):
+        flow = FlowGraph(small_cluster, tiny_model, placement).solve()
+        scheduler = HelixScheduler(
+            small_cluster, tiny_model, placement, Profiler(), flow=flow
+        )
+        sim = sim_cls(
+            small_cluster, tiny_model, placement, scheduler, list(requests),
+            max_time=1e9, seed=0,
+        )
+        requeued = []
+        sim.schedule_event(
+            0.05, lambda s: requeued.extend(s.fail_node("a100-0"))
+        )
+        return sim, requeued
+
+    fast, fast_requeued = build(Simulation)
+    fast_metrics = fast.run()
+    small_cluster.set_node_available("a100-0", True)
+    legacy, legacy_requeued = build(LegacySimulation)
+    legacy.run()
+    assert len(fast_requeued) >= 2
+    assert fast_requeued == legacy_requeued
+    assert fast_metrics.requests_finished == len(requests)
+    for request in requests:
+        assert (
+            fast.record_of(request.request_id).token_times
+            == legacy.record_of(request.request_id).token_times
+        ), request.request_id
+
+
 def test_flooded_equivalence_with_batch_cohorts():
     """A saturated uniform flood (vectorized cohorts) matches exactly."""
     requests = [Request(f"r{i:04d}", 16, 24) for i in range(120)]
@@ -203,8 +249,9 @@ def test_take_batch_counters_stay_consistent(tiny_model):
     )
     for i in range(6):
         executor.enqueue(StageWork(f"r{i}", 0, 10, 4, True, tl=40))
-    batch = executor.take_batch()
+    batch, tokens, tl = executor.take_batch()
     assert len(batch) == 2
+    assert (tokens, tl) == (20, 80)
     assert executor.queue_tokens == 40
     assert executor.queue_tl == 160
     while executor.has_work():
